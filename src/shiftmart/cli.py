@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -130,6 +131,11 @@ class UspsPaths:
     test_path: str
 
 
+def _is_real(value) -> bool:
+    """True for real numbers; JSON ``true``/``false`` arrive as bools and are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a data source plus the three run components."""
@@ -151,8 +157,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown label_measure {self.label_measure!r}")
         if self.strategy not in STRATEGY_TAGS:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 < self.jump_rate <= 1.0:
-            raise ConfigError(f"jump_rate must lie in (0, 1], got {self.jump_rate}")
+        if not _is_real(self.jump_rate) or not 0.0 < self.jump_rate <= 1.0:
+            raise ConfigError(f"jump_rate must be a number in (0, 1], got {self.jump_rate!r}")
+        if not _is_real(self.reluctance) or not 0.0 <= self.reluctance:
+            raise ConfigError(f"reluctance must be a non-negative number, got {self.reluctance!r}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 _CONFIG_KEYS = {
@@ -211,6 +221,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(raw)
@@ -402,7 +414,10 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
         cells = [r[idx] for r in rows[start:]]
         if all(c == "" for c in cells):
             return None
-        return np.array([float(c) for c in cells])
+        try:
+            return np.array([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     p_concept = column(1, 1)
     p_label = column(2, 1)
@@ -414,6 +429,9 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
         raise DataError(f"{path}: required columns are empty")
     if p_concept.size != n or log10_black.size != n + 1:
         raise DataError(f"{path}: inconsistent row counts")
+    for name, p in (("p_concept", p_concept), ("p_label", p_label)):
+        if p is not None and not ((p >= 0.0) & (p <= 1.0)).all():
+            raise DataError(f"{path}: {name} holds a value outside [0, 1] or NaN")
     return TrajectoryTable(
         p_concept, p_label, log10_black, log10_red, log10_green, log10_blue
     )
@@ -498,6 +516,17 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1, else exit code 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftmart",
@@ -524,16 +553,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="fan one config out over many seeds")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--seeds", type=int, required=True, help="number of seeds")
+    sweep.add_argument("--seeds", type=_positive_int, required=True, help="number of seeds")
     sweep.add_argument("--seed", type=int, default=None, help="first seed (default: config seed)")
     sweep.add_argument("--out-dir", dest="out_dir", required=True)
-    sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sweep.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser("report", help="uniformity report for a trajectory CSV")
     report.add_argument("trajectory", help="trajectory CSV emitted by run")
     report.add_argument("--column", choices=("p_concept", "p_label", "both"), default="both")
-    report.add_argument("--bins", type=int, default=10)
+    report.add_argument("--bins", type=_positive_int, default=10)
     report.set_defaults(func=_cmd_report)
     return parser
 

@@ -43,12 +43,30 @@ NN_VARIANTS = (
 )
 
 
+# An insertion into a cache of n points of dimension d screens the stored rows
+# with one matrix-vector product once n * d reaches this many floats, the size
+# (128 KiB) from which glibc serves the n x d difference block of the direct
+# computation by a fresh mmap on every step. Below it every row is computed
+# exactly; both ways commit the same formula, so the switch changes no output.
+SCREEN_MIN_FLOATS = 16384
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
+
 class NnCache:
     """Incrementally maintained nearest-neighbour distances for a prefix.
 
-    Each insertion costs O(n * dim): the new point's distances to every
-    stored point are computed once and folded into the running minima of both
-    the old points and the new one. The cache is single-owner and mutable;
+    Each insertion folds the new point's distances to the stored points into
+    the running minima of both the old points and the new one. Every
+    committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
+    bit-identical to a full scan. Small caches evaluate that formula on all n
+    stored rows (O(n * dim) with an n x dim temporary). From
+    ``SCREEN_MIN_FLOATS`` on, one matrix-vector product screens the rows with
+    an approximate squared distance and a rigorous bound on its error, and
+    the formula is evaluated only on the few rows that could change a minimum
+    (see ``insert``). Labels are stored as dense class ids, so memory does not
+    depend on the label values. The cache is single-owner and mutable;
     scoring reads are safe between insertions.
     """
 
@@ -56,9 +74,11 @@ class NnCache:
         self._dim = None if dim is None else int(dim)
         self._n = 0
         self._x: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._d_same: np.ndarray | None = None
         self._d_other: np.ndarray | None = None
+        self._class_ids: dict[int, int] = {}
 
     @property
     def n(self) -> int:
@@ -70,7 +90,12 @@ class NnCache:
 
     @property
     def labels(self) -> np.ndarray:
-        """Labels of the stored prefix (read-only view)."""
+        """Dense class ids of the stored prefix (read-only view).
+
+        The k-th distinct label inserted has id k, so two points share an id
+        exactly when they share a label, and the ids are below the number of
+        distinct labels however large the labels themselves are.
+        """
         return self._view(self._labels)
 
     @property
@@ -93,15 +118,17 @@ class NnCache:
     def _grow(self):
         cap = 16 if self._x is None else 2 * self._x.shape[0]
         x = np.empty((cap, self._dim), dtype=np.float64)
+        norms = np.empty(cap, dtype=np.float64)
         labels = np.empty(cap, dtype=np.int64)
         d_same = np.empty(cap, dtype=np.float64)
         d_other = np.empty(cap, dtype=np.float64)
         if self._n:
             x[: self._n] = self._x[: self._n]
+            norms[: self._n] = self._norms[: self._n]
             labels[: self._n] = self._labels[: self._n]
             d_same[: self._n] = self._d_same[: self._n]
             d_other[: self._n] = self._d_other[: self._n]
-        self._x, self._labels = x, labels
+        self._x, self._norms, self._labels = x, norms, labels
         self._d_same, self._d_other = d_same, d_other
 
     def insert(self, obs: Observation) -> None:
@@ -109,24 +136,68 @@ class NnCache:
 
         Raises ValueError when the object dimension does not match the cache
         (the first insertion fixes the dimension if it was not given).
+
+        Once n * dim reaches ``SCREEN_MIN_FLOATS``, only the stored rows that
+        pass a screen get their exact distance computed:
+
+        Screen. With s_i = ||X_i||**2, computed once per row (at the first
+        screened insertion for the rows stored before it), and t = ||x||**2,
+        one product ``X @ x`` gives a_i = s_i - 2 X_i.x + t, an
+        approximation of the squared distance D_i = ||X_i - x||**2.
+
+        Error bound. Let u = 2**-53 be the unit roundoff and eta = 2**-1075
+        the largest rounding error of an underflowing product (IEEE
+        arithmetic with gradual underflow, numpy's default). A dot product of
+        length d, summed in any order and with or without fused
+        multiply-adds, is off by at most gamma_d * sum_k |a_k b_k| + d * eta,
+        where gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
+        Numerical Algorithms, sec. 3.1). As |X_i.x| <= (S_i + T) / 2 for the
+        exact norms S_i and T, the three dot products are off by at most
+        2 gamma_d (S_i + T) + 4 d eta together, and the subtraction and the
+        addition that form a_i add at most 4 u (S_i + T) (1 + gamma_d). The
+        committed value q_i = fl(sum_k fl(fl(X_ik - x_k)**2)) is off from D_i
+        by at most gamma_{d+2} D_i + d eta, and D_i <= 2 (S_i + T). So
+
+            |a_i - q_i| <= ((4 d + 8) u (S_i + T) + 5 d eta) (1 + O(d u)).
+
+        The screen uses E_i = 8 (d + 4) (u (s_i + t) + 2 eta), about twice
+        that, which leaves room for rounding s_i, t, the bounds a_i -/+ E_i
+        and the squared thresholds below, each off by a few u of the same
+        size. Hence lo_i = a_i - E_i <= q_i <= a_i + E_i = hi_i.
+
+        Candidates. As sqrt and rounding are monotone, row i is skipped only
+        when lo_i > m_i**2, so its distance cannot undercut m_i, the row's
+        current minimum of the relevant kind (``d_same`` when the labels
+        match, ``d_other`` otherwise), and lo_i > h, where h is the smallest
+        hi over the rows of its kind (same label as x, or another label), so
+        it cannot attain the new point's own minimum of that kind. Every
+        comparison is written as ``~(lo > threshold)``, so a NaN or infinite
+        approximation, e.g. from squared norms that overflow for entries
+        near 1e154, makes the row a candidate. The exact formula is then
+        applied to the candidates only and committed through ``np.minimum``
+        as for a small cache.
         """
         x = np.asarray(obs.x, dtype=np.float64)
-        y = int(obs.y)
         if self._dim is None:
             self._dim = x.size
         if x.size != self._dim:
             raise ValueError(
                 f"object dimension {x.size} does not match cache dimension {self._dim}"
             )
+        y = self._class_ids.setdefault(int(obs.y), len(self._class_ids))
         if self._x is None or self._n == self._x.shape[0]:
             self._grow()
         n = self._n
         if n:
-            diff = self._x[:n] - x
+            if n * self._dim < SCREEN_MIN_FLOATS:
+                rows = slice(0, n)
+            else:
+                rows = self._screen(x, y)
+            diff = self._x[rows] - x
             dist = np.sqrt((diff * diff).sum(axis=1))
-            same = self._labels[:n] == y
-            np.minimum(self._d_same[:n], np.where(same, dist, np.inf), out=self._d_same[:n])
-            np.minimum(self._d_other[:n], np.where(same, np.inf, dist), out=self._d_other[:n])
+            same = self._labels[rows] == y
+            self._d_same[rows] = np.minimum(self._d_same[rows], np.where(same, dist, np.inf))
+            self._d_other[rows] = np.minimum(self._d_other[rows], np.where(same, np.inf, dist))
             self._d_same[n] = dist[same].min() if same.any() else np.inf
             self._d_other[n] = dist[~same].min() if not same.all() else np.inf
         else:
@@ -135,6 +206,34 @@ class NnCache:
         self._x[n] = x
         self._labels[n] = y
         self._n = n + 1
+
+    def _screen(self, x: np.ndarray, y: int) -> np.ndarray:
+        """Indices of the stored rows whose exact distance to ``x`` is needed.
+
+        Also stores the squared norm of ``x`` for row n, where ``x`` goes.
+        """
+        n = self._n
+        stored = self._x[:n]
+        s = self._norms[:n]
+        same = self._labels[:n] == y
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (n - 1) * self._dim < SCREEN_MIN_FLOATS:
+                # the first screened insertion: every stored row came in
+                # unscreened, without its norm
+                s[:] = np.einsum("ij,ij->i", stored, stored)
+            norm = self._norms[n] = x @ x
+            approx = stored @ x
+            approx *= -2.0
+            approx += s
+            approx += norm
+            err = 8.0 * (self._dim + 4) * (_UNIT_ROUNDOFF * (s + norm) + _SMALLEST_SUBNORMAL)
+            lo = approx - err
+            hi = np.add(approx, err, out=approx)
+            own_same = np.where(same, hi, np.inf).min()
+            own_other = np.where(same, np.inf, hi).min()
+            current = np.where(same, self._d_same[:n], self._d_other[:n])
+            threshold = np.maximum(current * current, np.where(same, own_same, own_other))
+            return np.flatnonzero(~(lo > threshold))
 
 
 def _extended_ratio(num, den) -> np.ndarray:
@@ -175,7 +274,8 @@ def label_average(scores, labels) -> np.ndarray:
     Infinite inputs are first clamped to twice the largest finite score (to
     1.0 when no finite score exists) so the class means stay finite; this is
     rank-affecting only in degenerate prefixes. The output assigns
-    bit-identical values to equal labels.
+    bit-identical values to equal labels. Memory grows with the largest
+    label, so pass dense class ids such as ``NnCache.labels``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

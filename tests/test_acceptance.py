@@ -35,6 +35,7 @@ from shiftmart import (
     run_martingale,
     score_nn,
 )
+from shiftmart.conformity import SCREEN_MIN_FLOATS
 
 from oracles import nn_distances_bruteforce
 
@@ -131,6 +132,59 @@ def test_nn_cache_matches_bruteforce_exactly():
         "nn-cache-oracle",
         ok,
         f"50 streams of n=200 vs the full scan: {mismatches} mismatches",
+    )
+    assert ok
+
+
+def _screened_streams(rng, n, d, n_classes):
+    """Streams that stress the screen of NnCache.insert, keyed by name."""
+    base = rng.normal(size=(n, d))
+    labels = rng.integers(0, n_classes, size=n)
+    duplicates = base.copy()
+    duplicates[rng.integers(0, n, n // 3)] = base[rng.integers(0, n, n // 3)]
+    # integer coordinates make many squared distances exactly equal
+    lattice = rng.integers(-1, 2, size=(n, d)).astype(np.float64)
+    # every class but the first appears only in the second half
+    late = np.where(np.arange(n) < n // 2, 0, labels)
+    return {
+        "iid": (base, labels),
+        "duplicates": (duplicates, labels),
+        "lattice": (lattice, labels),
+        "offset 1e8": (base + 1e8, labels),
+        "offset 1e154": (base * 1e150 + 1e154, labels),
+        "scaled 1e-160": (base * 1e-160, labels),
+        # squared differences of a few subnormal units: the screen's error
+        # bound needs its underflow floor here
+        "scaled 1e-162": (base * 1e-162, labels),
+        "late classes": (base, late),
+    }
+
+
+def test_nn_cache_screened_path_matches_bruteforce_exactly():
+    rng = np.random.default_rng(17)
+    mismatches = []
+    streams = 0
+    for n, d in ((512, 64), (200, 256)):
+        # at least half the insertions of these streams take the screen
+        assert n * d >= 2 * SCREEN_MIN_FLOATS
+        for n_classes in (2, 10):
+            for name, (points, labels) in _screened_streams(rng, n, d, n_classes).items():
+                streams += 1
+                cache = NnCache()
+                for x, y in zip(points, labels):
+                    cache.insert(Observation(x, int(y)))
+                d_same, d_other = nn_distances_bruteforce(points, labels)
+                if not (
+                    np.array_equal(cache.d_same, d_same)
+                    and np.array_equal(cache.d_other, d_other)
+                ):
+                    mismatches.append(f"{name} (n={n}, d={d}, K={n_classes})")
+    ok = not mismatches
+    _report(
+        "nn-cache-screen-oracle",
+        ok,
+        f"{streams} screened streams vs the full scan: {len(mismatches)} mismatches "
+        + ", ".join(mismatches),
     )
     assert ok
 

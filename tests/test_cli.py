@@ -23,6 +23,7 @@ from shiftmart.cli import (
     ConfigError,
     DataError,
     config_from_dict,
+    load_config,
     main,
 )
 
@@ -121,6 +122,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
         config_from_dict(
             {"data": {"kind": "scenario", "scenario": "iid", "n_steps": 0}}
         )
+    for bad in ({"jump_rate": True}, {"reluctance": -0.5}, {"seed": "7"}, {"seed": 1.5}):
+        with pytest.raises(ConfigError):
+            config_from_dict(scenario_config_dict(**bad))
 
 
 def test_config_accepts_markov_transition_lists():
@@ -276,6 +280,13 @@ def test_run_command_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
 
+def test_non_object_config_is_a_config_error(tmp_path):
+    config_path = write_config(tmp_path, [scenario_config_dict()])
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config(config_path, {"seed": 3})
+    assert main(["run", "--config", config_path]) == EXIT_CONFIG
+
+
 def test_run_command_data_error_exit_code(tmp_path):
     raw = scenario_config_dict()
     raw["data"] = {"kind": "usps", "train_path": "/nonexistent", "test_path": "/nonexistent"}
@@ -318,3 +329,35 @@ def test_sweep_command_writes_per_seed_files(tmp_path):
     # seeded sweep reproduces the plain run of the same seed
     solo = run_experiment(dataclasses.replace(config_from_dict(scenario_config_dict()), seed=2))
     assert tables[1] == solo
+
+
+def test_sweep_rejects_bad_seed_and_counts(tmp_path, capsys):
+    out_dir = str(tmp_path / "sweep")
+    bad_seed = write_config(tmp_path, scenario_config_dict(seed="7"))
+    argv = ["sweep", "--config", bad_seed, "--seeds", "2", "--out-dir", out_dir]
+    assert main(argv + ["--workers", "1"]) == EXIT_CONFIG
+    assert "seed must be an integer" in capsys.readouterr().err
+    good = write_config(tmp_path, scenario_config_dict())
+    for counts in (["--seeds", "2", "--workers", "0"], ["--seeds", "0", "--workers", "1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", good, "--out-dir", out_dir] + counts)
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    table = run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=4)))
+    write_trajectory_csv(table, str(path))
+    lines = path.read_text().splitlines()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--bins", "0", str(path)])
+    assert exit_info.value.code == EXIT_CONFIG
+    for column, value in ((1, "nan"), (2, "nan"), (1, "inf"), (2, "-0.25"), (1, "1.5"), (2, "x")):
+        fields = lines[3].split(",")
+        fields[column] = value
+        path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+        with pytest.raises(DataError):
+            read_trajectory_csv(str(path))
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().out == ""

@@ -1,5 +1,7 @@
 """Tests for the nearest-neighbour cache and the conformity score variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,24 @@ def test_dimension_mismatch_is_rejected():
     cache = fill_cache(make_stream([[0.0, 0.0]], [0]))
     with pytest.raises(ValueError, match="dimension"):
         cache.insert(Observation(np.zeros(3), 0))
+
+
+def test_labels_are_dense_ids_in_first_seen_order():
+    labels = [10**6, 0, 10**6, 7, 0]
+    stream = make_stream([0.0, 1.0, 2.0, 3.0, 5.0], labels)
+    cache = fill_cache(stream[:-1])
+    tracemalloc.start()
+    try:
+        # one step of the pipeline: insert, score, class-average
+        cache.insert(stream[-1])
+        averaged = label_average(score_nn("ratio", cache), cache.labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # with the raw labels np.bincount would allocate 8 bytes per label value
+    assert peak < 64 * 1024
+    assert np.array_equal(cache.labels, [0, 1, 0, 2, 1])
+    assert np.array_equal(averaged, label_average(score_nn("ratio", cache), labels))
 
 
 def test_views_are_read_only():
