@@ -44,10 +44,17 @@ NN_VARIANTS = (
 
 
 # An insertion into a cache of n points of dimension d screens the stored rows
-# with one matrix-vector product once n * d reaches this many floats, the size
-# (128 KiB) from which glibc serves the n x d difference block of the direct
-# computation by a fresh mmap on every step. Below it every row is computed
-# exactly; both ways commit the same formula, so the switch changes no output.
+# with one matrix-vector product once n * d reaches this many floats; below it
+# every row is computed exactly. Both ways commit the same formula, so the
+# switch changes no output. The screen costs some 20 numpy calls (about 65 us
+# at small n) on top of the product; timed per insertion in a warm process
+# (numpy 2.4 with OpenBLAS on a 2-vCPU x86 host) it broke even with the direct
+# computation between n * d = 8000 and 16000 for d = 8 to 256 and near
+# n = 1000 for d = 2. Screening every insertion made the perfbench mc-small
+# workload (n = 1000, d = 2) 15 % slower end to end. From 16384 floats
+# (128 KiB) on, a process whose cache keeps growing also gets the direct
+# computation's n x d temporaries by a fresh mmap on every step; screening
+# made the usps-shape workload (n = 2000, d = 256) 7x faster end to end.
 SCREEN_MIN_FLOATS = 16384
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -140,10 +147,9 @@ class NnCache:
         Once n * dim reaches ``SCREEN_MIN_FLOATS``, only the stored rows that
         pass a screen get their exact distance computed:
 
-        Screen. With s_i = ||X_i||**2, computed once per row (at the first
-        screened insertion for the rows stored before it), and t = ||x||**2,
-        one product ``X @ x`` gives a_i = s_i - 2 X_i.x + t, an
-        approximation of the squared distance D_i = ||X_i - x||**2.
+        Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
+        and t = ||x||**2, one product ``X @ x`` gives a_i = s_i - 2 X_i.x + t,
+        an approximation of the squared distance D_i = ||X_i - x||**2.
 
         Error bound. Let u = 2**-53 be the unit roundoff and eta = 2**-1075
         the largest rounding error of an underflowing product (IEEE
@@ -188,16 +194,23 @@ class NnCache:
         if self._x is None or self._n == self._x.shape[0]:
             self._grow()
         n = self._n
+        # vdot, unlike @, does not warn when the norm overflows to inf, which
+        # only makes rows candidates (see the screen)
+        norm = self._norms[n] = np.vdot(x, x)
         if n:
             if n * self._dim < SCREEN_MIN_FLOATS:
-                rows = slice(0, n)
+                diff = self._x[:n] - x
+                dist = np.sqrt((diff * diff).sum(axis=1))
+                same = self._labels[:n] == y
+                np.minimum(self._d_same[:n], np.where(same, dist, np.inf), out=self._d_same[:n])
+                np.minimum(self._d_other[:n], np.where(same, np.inf, dist), out=self._d_other[:n])
             else:
-                rows = self._screen(x, y)
-            diff = self._x[rows] - x
-            dist = np.sqrt((diff * diff).sum(axis=1))
-            same = self._labels[rows] == y
-            self._d_same[rows] = np.minimum(self._d_same[rows], np.where(same, dist, np.inf))
-            self._d_other[rows] = np.minimum(self._d_other[rows], np.where(same, np.inf, dist))
+                rows = self._screen(x, norm, y)
+                diff = self._x[rows] - x
+                dist = np.sqrt((diff * diff).sum(axis=1))
+                same = self._labels[rows] == y
+                self._d_same[rows] = np.minimum(self._d_same[rows], np.where(same, dist, np.inf))
+                self._d_other[rows] = np.minimum(self._d_other[rows], np.where(same, np.inf, dist))
             self._d_same[n] = dist[same].min() if same.any() else np.inf
             self._d_other[n] = dist[~same].min() if not same.all() else np.inf
         else:
@@ -207,22 +220,13 @@ class NnCache:
         self._labels[n] = y
         self._n = n + 1
 
-    def _screen(self, x: np.ndarray, y: int) -> np.ndarray:
-        """Indices of the stored rows whose exact distance to ``x`` is needed.
-
-        Also stores the squared norm of ``x`` for row n, where ``x`` goes.
-        """
+    def _screen(self, x: np.ndarray, norm: float, y: int) -> np.ndarray:
+        """Indices of the stored rows whose exact distance to ``x`` is needed."""
         n = self._n
-        stored = self._x[:n]
         s = self._norms[:n]
         same = self._labels[:n] == y
         with np.errstate(over="ignore", invalid="ignore"):
-            if (n - 1) * self._dim < SCREEN_MIN_FLOATS:
-                # the first screened insertion: every stored row came in
-                # unscreened, without its norm
-                s[:] = np.einsum("ij,ij->i", stored, stored)
-            norm = self._norms[n] = x @ x
-            approx = stored @ x
+            approx = self._x[:n] @ x
             approx *= -2.0
             approx += s
             approx += norm
