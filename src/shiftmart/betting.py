@@ -23,7 +23,12 @@ sleepy-jumper
 mixture-power
     Capital after p_1..p_n is the uniform mixture over e in (0, 1] of the
     power bets prod_i e * p_i**(e-1), evaluated by 64-point Gauss-Legendre
-    quadrature in e with p-values clamped to >= 1e-12.
+    quadrature in e with p-values clamped to >= 1e-12. The capital depends on
+    the p-values only through n and sum_i log p_i; the state keeps these two
+    sufficient statistics, so a step costs O(1).
+
+Each strategy has one transition function, which ``bet_step`` and
+``run_martingale`` both call, so the two agree bit for bit.
 
 ``product_martingale`` multiplies two trajectories (adds them in log10);
 this is only a valid martingale when the legs were randomized from disjoint
@@ -38,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 STRATEGY_TAGS = ("simple-jumper", "sleepy-jumper", "mixture-power")
 JUMPER_EPSILONS = (-1.0, 0.0, 1.0)
@@ -53,6 +57,7 @@ _MIX_EPS = 0.5 * (_GL_X + 1.0)
 _MIX_W = 0.5 * _GL_W
 _MIX_LOG_EPS = np.log(_MIX_EPS)
 _MIX_LOG_W = np.log(_MIX_W)
+_MIX_EPS_M1 = _MIX_EPS - 1.0
 
 
 @dataclass(frozen=True)
@@ -60,16 +65,18 @@ class BettingState:
     """Capital state of one betting strategy.
 
     ``shares`` (Jumper strategies) are ordered as JUMPER_EPSILONS and stored
-    relative to the running total, which itself lives in ``log10_capital``;
-    ``p_history`` is the p-value list the mixture strategy integrates over.
-    A fresh state has capital 1.
+    relative to the running total, which itself lives in ``log10_capital``.
+    The mixture strategy keeps its sufficient statistics, O(1) per step:
+    ``n_bets`` p-values seen and ``log_p_sum``, the sum of their clamped
+    natural logs. A fresh state has capital 1.
     """
 
     strategy_tag: str
     jump_rate: float = 0.001
     reluctance: float = 0.01
     shares: tuple[float, ...] = ()
-    p_history: tuple[float, ...] = ()
+    n_bets: int = 0
+    log_p_sum: float = 0.0
     log10_capital: float = 0.0
 
 
@@ -111,14 +118,13 @@ def _jumper_step(shares, jump_rate, p):
     return (c_down / growth, c_hold / growth, c_up / growth), growth
 
 
-def _mixture_log10_capital(p_history) -> float:
-    """log10 of the mixture-power capital over the stored p-values."""
-    if not len(p_history):
-        return 0.0
-    p = np.clip(np.asarray(p_history, dtype=np.float64), _MIXTURE_CLAMP, 1.0)
-    log_p_total = np.log(p).sum()
-    terms = _MIX_LOG_W + len(p) * _MIX_LOG_EPS + (_MIX_EPS - 1.0) * log_p_total
-    return float(logsumexp(terms)) / _LOG10
+def _mixture_step(n_bets, log_p_sum, p):
+    """One mixture-power transition: (count, sum of log p, log10 capital)."""
+    n_bets += 1
+    log_p_sum += math.log(max(p, _MIXTURE_CLAMP))
+    terms = _MIX_LOG_W + n_bets * _MIX_LOG_EPS + _MIX_EPS_M1 * log_p_sum
+    top = float(terms.max())
+    return n_bets, log_p_sum, (top + math.log(np.exp(terms - top).sum())) / _LOG10
 
 
 def _check_p(p: float) -> float:
@@ -132,10 +138,8 @@ def bet_step(state: BettingState, p: float) -> BettingState:
     """Advance one strategy state by one p-value."""
     p = _check_p(p)
     if state.strategy_tag == "mixture-power":
-        history = state.p_history + (p,)
-        return replace(
-            state, p_history=history, log10_capital=_mixture_log10_capital(history)
-        )
+        n_bets, log_p_sum, capital = _mixture_step(state.n_bets, state.log_p_sum, p)
+        return replace(state, n_bets=n_bets, log_p_sum=log_p_sum, log10_capital=capital)
     shares, growth = _jumper_step(state.shares, state.jump_rate, p)
     return replace(
         state,
@@ -173,10 +177,9 @@ def run_martingale(
     out = np.empty(len(p_values) + 1)
     out[0] = state.log10_capital
     if state.strategy_tag == "mixture-power":
-        history = state.p_history
+        n_bets, log_p_sum = state.n_bets, state.log_p_sum
         for k, p in enumerate(p_values):
-            history = history + (_check_p(p),)
-            out[k + 1] = _mixture_log10_capital(history)
+            n_bets, log_p_sum, out[k + 1] = _mixture_step(n_bets, log_p_sum, _check_p(p))
     else:
         shares = state.shares
         log10_capital = state.log10_capital
@@ -244,8 +247,6 @@ def _capital_fn(strategy, jump_rate, reluctance):
     """Turn a strategy tag or callable into F: p-sequence -> capital."""
     if callable(strategy):
         return strategy
-    if strategy == "mixture-power":
-        return lambda ps: 10.0 ** _mixture_log10_capital(ps)
 
     def capital(ps):
         state = initial_state(strategy, jump_rate, reluctance)

@@ -1,8 +1,9 @@
 """End-user entry point: data ingestion, experiment runs, CSV/JSON emission.
 
 One experiment streams a dataset (the USPS digits files or a synthetic
-scenario) through a single pass that maintains one nearest-neighbour cache
-and produces four martingale trajectories:
+scenario) through ``transducer.interleave``, the single pass over one
+nearest-neighbour cache, and bets on the p-values of each leg, which gives
+four martingale trajectories:
 
     black   plain conformal p-values on the concept measure's scores
     red     label-conditional p-values on the concept measure's scores
@@ -35,17 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betting import (
-    STRATEGY_TAGS,
-    MartingaleTrajectory,
-    initial_state,
-    bet_step,
-    product_martingale,
-)
-from .conformity import NN_VARIANTS, NnCache
+from .betting import STRATEGY_TAGS, initial_state, product_martingale, run_martingale
+from .conformity import NN_VARIANTS
 from .core import Observation, RandomSource
 from .synth import ScenarioConfig, generate, uniformity_report
-from .transducer import _step_scores, p_conformal, p_label_conditional
+from .transducer import interleave
 
 USPS_DIM = 256
 USPS_FIELDS = USPS_DIM + 1
@@ -163,6 +158,11 @@ class ExperimentConfig:
             raise ConfigError(f"reluctance must be a non-negative number, got {self.reluctance!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        shared = self.shared_randomization
+        if not isinstance(shared, bool):
+            raise ConfigError(f"shared_randomization must be a bool, got {shared!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string or null, got {self.output!r}")
 
 
 _CONFIG_KEYS = {
@@ -279,13 +279,12 @@ def _load_stream(config: ExperimentConfig) -> list[Observation]:
 
 
 def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
-    """Single pass over the stream emitting all four trajectories.
+    """Bet on the p-values of one ``interleave`` pass, emitting all four trajectories.
 
     Deterministic given the config: the scenario, the black leg and the two
     product legs each consume their own substream of the experiment seed.
     """
     stream = _load_stream(config)
-    n = len(stream)
     if config.shared_randomization:
         shared = RandomSource(config.seed, "shared")
         tau_black_src = tau_src = tau_prime_src = shared
@@ -294,57 +293,34 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
         tau_src = RandomSource(config.seed, "tau")
         tau_prime_src = RandomSource(config.seed, "tau-prime")
 
-    with_label_leg = config.label_measure is not None
-    label_measure = config.label_measure if with_label_leg else config.concept_measure
+    legs = interleave(
+        stream, config.concept_measure, config.label_measure, tau_src, tau_prime_src, tau_black_src
+    )
+    p_legs = [p for p in (legs.p_black, legs.p_concept, legs.p_label) if p is not None]
+    in_range = np.logical_and.reduce([(p >= 0.0) & (p <= 1.0) for p in p_legs])
+    if not in_range.all():
+        raise InvariantViolation(f"p-value out of range at step {np.argmin(in_range) + 1}")
 
-    cache = NnCache()
-    black = initial_state(config.strategy, config.jump_rate, config.reluctance)
-    red = initial_state(config.strategy, config.jump_rate, config.reluctance)
-    green = initial_state(config.strategy, config.jump_rate, config.reluctance)
+    def bet(p_values, provenance):
+        state = initial_state(config.strategy, config.jump_rate, config.reluctance)
+        return run_martingale(state, p_values, provenance)
 
-    p_concept = np.empty(n)
-    p_label = np.empty(n) if with_label_leg else None
-    log10_black = np.zeros(n + 1)
-    log10_red = np.zeros(n + 1)
-    log10_green = np.zeros(n + 1) if with_label_leg else None
-
-    for k, obs in enumerate(stream):
-        tau_black = tau_black_src.uniform_draw()
-        tau = tau_src.uniform_draw()
-        tau_prime = tau_prime_src.uniform_draw() if with_label_leg else None
-        concept_scores, label_scores, labels = _step_scores(
-            cache, obs, config.concept_measure, label_measure
-        )
-        pb = p_conformal(concept_scores, tau_black)
-        pr = p_label_conditional(concept_scores, labels, tau)
-        if not (0.0 <= pb <= 1.0 and 0.0 <= pr <= 1.0):
-            raise InvariantViolation(f"p-value out of range at step {k + 1}")
-        p_concept[k] = pr
-        black = bet_step(black, pb)
-        red = bet_step(red, pr)
-        log10_black[k + 1] = black.log10_capital
-        log10_red[k + 1] = red.log10_capital
-        if with_label_leg:
-            pg = p_conformal(label_scores, tau_prime)
-            if not 0.0 <= pg <= 1.0:
-                raise InvariantViolation(f"p-value out of range at step {k + 1}")
-            p_label[k] = pg
-            green = bet_step(green, pg)
-            log10_green[k + 1] = green.log10_capital
-
-    log10_blue = None
-    if with_label_leg:
-        red_traj = MartingaleTrajectory(log10_red, tau_src.describe())
-        green_traj = MartingaleTrajectory(log10_green, tau_prime_src.describe())
-        blue_traj = product_martingale(
-            red_traj, green_traj, allow_shared=config.shared_randomization
-        )
-        log10_blue = blue_traj.log10_values
-        if np.abs(log10_blue - (log10_red + log10_green)).max() > 1e-9:
+    black = bet(legs.p_black, tau_black_src.describe())
+    red = bet(legs.p_concept, legs.concept_provenance)
+    log10_green = log10_blue = None
+    if legs.p_label is not None:
+        green = bet(legs.p_label, legs.label_provenance)
+        blue = product_martingale(red, green, allow_shared=config.shared_randomization)
+        log10_green, log10_blue = green.log10_values, blue.log10_values
+        if np.abs(log10_blue - (red.log10_values + log10_green)).max() > 1e-9:
             raise InvariantViolation("product decomposition violated")
-
     return TrajectoryTable(
-        p_concept, p_label, log10_black, log10_red, log10_green, log10_blue
+        legs.p_concept,
+        legs.p_label,
+        black.log10_values,
+        red.log10_values,
+        log10_green,
+        log10_blue,
     )
 
 

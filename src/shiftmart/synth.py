@@ -28,6 +28,7 @@ markov-labels
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        for name in ("n_steps", "n_classes", "dim", "changepoint", "seed"):
+            value = getattr(self, name)
+            if value is None and name in ("changepoint", "seed"):
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.n_classes < 2:

@@ -10,13 +10,15 @@ into a p-value for the newest observation:
 * ``p_conformal`` ranks globally. Fed with class-averaged scores (which
   depend on the labels alone) this is the label-shift leg.
 
-``interleave`` runs both legs over a stream in a single pass, drawing the
-tie-breaking values tau from two named substreams. Under exchangeable
-streams with independent tau substreams the interleaved p-values behave as
-independent uniforms, which is what makes the product of the two resulting
-test martingales a valid exchangeability martingale. Scores are recomputed
-from the full prefix at every step (adding an observation changes earlier
-nearest-neighbour scores), so no stale-score shortcut is taken.
+``interleave``, the package's one step loop, runs up to three legs (concept,
+label, and black: ``p_conformal`` on the concept scores) over a stream in a
+single pass, drawing each leg's tie-breaking values tau from its own named
+substream. Under exchangeable streams with independent tau substreams the
+interleaved p-values behave as independent uniforms, which is what makes the
+product of the concept and label test martingales a valid exchangeability
+martingale. Scores are recomputed from the full prefix at every step (adding
+an observation changes earlier nearest-neighbour scores), so no stale-score
+shortcut is taken.
 """
 
 from __future__ import annotations
@@ -78,67 +80,74 @@ def p_label_conditional(scores, labels, tau: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InterleavedPValues:
-    """Per-step p-values of the two legs plus randomization provenance.
+    """Per-step p-values of the legs plus randomization provenance.
 
-    ``p_concept[k]`` and ``p_label[k]`` belong to step k+1 of the stream; the
-    provenance strings identify which tau substream fed each leg (used to
-    refuse invalid martingale products downstream).
+    ``p_concept[k]``, ``p_label[k]`` and ``p_black[k]`` belong to step k+1 of
+    the stream; the provenance strings identify which tau substream fed each
+    leg (used to refuse invalid martingale products downstream). ``p_label``
+    and ``label_provenance`` are None when the run had no label leg, and
+    ``p_black`` is None unless the black leg was requested.
     """
 
     p_concept: np.ndarray
-    p_label: np.ndarray
+    p_label: np.ndarray | None
     concept_provenance: str
-    label_provenance: str
+    label_provenance: str | None
+    p_black: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.p_concept.size
 
 
-def _step_scores(cache, obs, concept_measure, label_measure):
-    """Insert one observation and score the enlarged prefix for both legs."""
-    cache.insert(obs)
-    labels = cache.labels
-    concept_scores = score_nn(concept_measure, cache)
-    if label_measure == concept_measure:
-        raw = concept_scores
-    else:
-        raw = score_nn(label_measure, cache)
-    return concept_scores, label_average(raw, labels), labels
-
-
 def interleave(
     stream: Sequence[Observation],
     concept_measure: str,
-    label_measure: str,
+    label_measure: str | None,
     tau_src: RandomSource,
-    tau_prime_src: RandomSource,
+    tau_prime_src: RandomSource | None,
+    tau_black_src: RandomSource | None = None,
 ) -> InterleavedPValues:
-    """Run both transducer legs over a stream of observations.
+    """Run the transducer legs over a stream of observations.
 
     ``concept_measure`` and ``label_measure`` are NN variant tags; they may
     differ. The concept leg feeds raw scores to ``p_label_conditional``; the
-    label leg class-averages the scores first and feeds ``p_conformal``.
-    Passing the same source for ``tau_src`` and ``tau_prime_src`` is the
-    shared-randomization compatibility mode (two draws per step, concept leg
-    first); the default contract is two disjoint substreams.
+    label leg class-averages the scores first and feeds ``p_conformal``. A
+    ``label_measure`` of None drops the label leg, and ``tau_prime_src`` is
+    then never drawn from. With ``tau_black_src`` the black leg feeds the
+    concept scores to ``p_conformal``. Each step draws black, concept, label,
+    in that order, so passing one source for all of them is the
+    shared-randomization compatibility mode; the default contract is
+    disjoint substreams.
     """
-    for measure in (concept_measure, label_measure):
+    with_black = tau_black_src is not None
+    with_label = label_measure is not None
+    for measure in (concept_measure, label_measure) if with_label else (concept_measure,):
         if measure not in NN_VARIANTS:
             raise ValueError(f"unknown conformity variant {measure!r}")
     stream = list(stream)
     if not stream:
         raise ValueError("empty stream")
     cache = NnCache()
+    p_black = np.empty(len(stream)) if with_black else None
     p_concept = np.empty(len(stream))
-    p_label = np.empty(len(stream))
+    p_label = np.empty(len(stream)) if with_label else None
     for k, obs in enumerate(stream):
+        if with_black:
+            tau_black = tau_black_src.uniform_draw()
         tau = tau_src.uniform_draw()
-        tau_prime = tau_prime_src.uniform_draw()
-        concept_scores, label_scores, labels = _step_scores(
-            cache, obs, concept_measure, label_measure
-        )
+        if with_label:
+            tau_prime = tau_prime_src.uniform_draw()
+        cache.insert(obs)
+        labels = cache.labels
+        concept_scores = score_nn(concept_measure, cache)
+        if with_black:
+            p_black[k] = p_conformal(concept_scores, tau_black)
         p_concept[k] = p_label_conditional(concept_scores, labels, tau)
-        p_label[k] = p_conformal(label_scores, tau_prime)
-    return InterleavedPValues(
-        p_concept, p_label, tau_src.describe(), tau_prime_src.describe()
-    )
+        if with_label:
+            if label_measure == concept_measure:
+                raw = concept_scores
+            else:
+                raw = score_nn(label_measure, cache)
+            p_label[k] = p_conformal(label_average(raw, labels), tau_prime)
+    label_provenance = tau_prime_src.describe() if with_label else None
+    return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

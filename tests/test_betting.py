@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from shiftmart import (
+    ExperimentConfig,
     MartingaleTrajectory,
     QuadratureSpec,
     RandomSource,
+    ScenarioConfig,
     bet_step,
     check_betting_validity,
     initial_state,
     product_martingale,
+    run_experiment,
     run_martingale,
 )
 
@@ -79,6 +83,48 @@ def test_run_martingale_agrees_with_bet_step_chain():
             chain.append(state.log10_capital)
         traj = run_martingale(initial_state(tag, jump_rate=0.01), ps)
         assert np.array_equal(traj.log10_values, chain)
+
+
+def _mixture_power_reference(p_values):
+    """log10 mixture-power capital after every prefix, re-integrated each step.
+
+    Each entry re-evaluates logsumexp over the whole clamped p-value history
+    with the strategy's 64-point Gauss-Legendre rule, an O(n) computation
+    per step that the O(1) sufficient-statistics state must reproduce.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    eps, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    log_p = np.log(np.clip(np.asarray(p_values, dtype=np.float64), 1e-12, 1.0))
+    n = np.arange(1, log_p.size + 1)
+    log_p_totals = np.array([log_p[:k].sum() for k in n])
+    terms = (
+        np.log(weights)
+        + n[:, None] * np.log(eps)
+        + (eps - 1.0) * log_p_totals[:, None]
+    )
+    return np.concatenate([[0.0], logsumexp(terms, axis=1) / np.log(10.0)])
+
+
+def test_mixture_power_matches_full_history_reference_to_roundoff():
+    # The mixture workload's shape: iid, n=1000, d=2, K=2, both product legs.
+    worst = 0.0
+    for seed in range(1, 5):
+        table = run_experiment(
+            ExperimentConfig(
+                ScenarioConfig("iid", n_steps=1000),
+                "same-class",
+                "ratio",
+                "mixture-power",
+                seed=seed,
+            )
+        )
+        for p_values, log10_capital in (
+            (table.p_concept, table.log10_red),
+            (table.p_label, table.log10_green),
+        ):
+            reference = _mixture_power_reference(p_values)
+            worst = max(worst, float(np.abs(log10_capital - reference).max()))
+    assert worst <= 1e-12
 
 
 def test_trajectories_are_deterministic():

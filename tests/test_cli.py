@@ -16,12 +16,14 @@ from shiftmart import (
     run_experiment,
     write_trajectory_csv,
 )
+from shiftmart import cli
 from shiftmart.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
     ConfigError,
     DataError,
+    InvariantViolation,
     config_from_dict,
     load_config,
     main,
@@ -127,6 +129,45 @@ def test_config_rejects_unknown_keys_and_bad_values():
             config_from_dict(scenario_config_dict(**bad))
 
 
+@pytest.mark.parametrize(
+    "overrides, data_overrides, field",
+    [
+        ({"shared_randomization": "no"}, {}, "shared_randomization"),
+        ({"shared_randomization": 1}, {}, "shared_randomization"),
+        ({"output": 5}, {}, "output"),
+        ({}, {"n_steps": 5.5}, "n_steps"),
+        ({}, {"n_steps": True}, "n_steps"),
+        ({}, {"dim": 2.5}, "dim"),
+        ({}, {"n_classes": 2.0}, "n_classes"),
+        ({}, {"seed": 1.5}, "seed"),
+        ({}, {"scenario": "concept-shift", "changepoint": 20.5}, "changepoint"),
+    ],
+    ids=[
+        "shared-string",
+        "shared-int",
+        "output-int",
+        "n_steps-float",
+        "n_steps-bool",
+        "dim-float",
+        "n_classes-float",
+        "data-seed-float",
+        "changepoint-float",
+    ],
+)
+def test_run_command_rejects_mistyped_config_values(
+    tmp_path, monkeypatch, capsys, overrides, data_overrides, field
+):
+    monkeypatch.chdir(tmp_path)
+    raw = scenario_config_dict(**overrides)
+    raw["data"].update(data_overrides)
+    config_path = write_config(tmp_path, raw)
+    assert main(["run", "--config", config_path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_config_accepts_markov_transition_lists():
     config = config_from_dict(
         {
@@ -212,6 +253,20 @@ def test_iid_runs_rarely_reach_capital_one_hundred():
         )
         quiet += max(finals) < 2.0
     assert quiet >= 90
+
+
+def test_out_of_range_p_value_names_the_first_bad_step(monkeypatch):
+    real_interleave = cli.interleave
+
+    def corrupted_interleave(*args):
+        legs = real_interleave(*args)
+        legs.p_label[8] = 1.5
+        legs.p_black[6] = np.nan
+        return legs
+
+    monkeypatch.setattr(cli, "interleave", corrupted_interleave)
+    with pytest.raises(InvariantViolation, match="at step 7$"):
+        run_experiment(iid_config())
 
 
 # --- CSV round trip ---------------------------------------------------------------
