@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import os
 import sys
@@ -89,7 +90,8 @@ def _parse_usps_file(path: str) -> list[Observation]:
                 features = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: unparsable number: {exc}") from exc
-            label = round(raw_label)
+            # round() raises on inf and NaN; -1 fails the range check instead
+            label = round(raw_label) if math.isfinite(raw_label) else -1
             if abs(raw_label - label) > _FEATURE_TOL or not 0 <= label <= 9:
                 raise DataError(
                     f"{path}:{lineno}: label must be an integer in 0..9, got {fields[0]}"

@@ -31,6 +31,8 @@ receive bit-identical scores).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sized
+
 import numpy as np
 
 from .core import Observation
@@ -43,19 +45,30 @@ NN_VARIANTS = (
 )
 
 
-# An insertion into a cache of n points of dimension d screens the stored rows
-# with one matrix-vector product once n * d reaches this many floats; below it
-# every row is computed exactly. Both ways commit the same formula, so the
-# switch changes no output. The screen costs some 20 numpy calls (about 65 us
-# at small n) on top of the product; timed per insertion in a warm process
-# (numpy 2.4 with OpenBLAS on a 2-vCPU x86 host) it broke even with the direct
-# computation between n * d = 8000 and 16000 for d = 8 to 256 and near
-# n = 1000 for d = 2. Screening every insertion made the perfbench mc-small
-# workload (n = 1000, d = 2) 15 % slower end to end. From 16384 floats
-# (128 KiB) on, a process whose cache keeps growing also gets the direct
-# computation's n x d temporaries by a fresh mmap on every step; screening
-# made the usps-shape workload (n = 2000, d = 256) 7x faster end to end.
-SCREEN_MIN_FLOATS = 16384
+# A block of insertions into a cache of n points of dimension d screens the
+# stored rows with one matrix product once n * d reaches this many floats;
+# below it every pair is computed exactly. Both ways commit the same formula,
+# so the switch changes no output. Timed per block of 16 in a warm process
+# (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), the screen broke even
+# with the exact computation of every pair near n * d = 128 for d = 2, 512
+# for d = 8 and 2048 for d = 64, and below 4096 for d = 256; at n = 512 it
+# took 0.32 of the time for d = 2 and 0.08 for d = 256. Below the break-even
+# a block costs about 0.3 ms either way.
+SCREEN_MIN_FLOATS = 128
+
+# New points inserted and screened together by ``NnCache.extend``. A block of
+# b points makes a few b x n float temporaries. Interleaving the usps-shape
+# workload (n = 2000, d = 256, K = 10) took the same time within noise with
+# blocks of 8, 16 and 32, and 32 cost 1.3 MiB more peak memory than 16.
+_BLOCK = 16
+
+# Multiply-adds in one slice of a block's product with the stored rows.
+# OpenBLAS runs a matrix product of up to 2**18 (m * n * k) on the calling
+# thread. On a 2-vCPU VM a larger product, run on two threads a block after
+# the previous one, took 6 to 8 ms instead of 0.45 ms in some periods while
+# the idle worker thread was woken; in slices the product of 16 points with
+# 2000 rows of d = 256 took 0.66 to 0.82 ms in every period.
+_SERIAL_PRODUCT = 2**18
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
@@ -67,24 +80,29 @@ class NnCache:
     Each insertion folds the new point's distances to the stored points into
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
-    bit-identical to a full scan. Small caches evaluate that formula on all n
-    stored rows (O(n * dim) with an n x dim temporary). From
-    ``SCREEN_MIN_FLOATS`` on, one matrix-vector product screens the rows with
-    an approximate squared distance and a rigorous bound on its error, and
-    the formula is evaluated only on the few rows that could change a minimum
-    (see ``insert``). Labels are stored as dense class ids, so memory does not
-    depend on the label values. The cache is single-owner and mutable;
-    scoring reads are safe between insertions.
+    bit-identical to a full scan. ``extend`` inserts a stream in blocks of
+    up to ``_BLOCK`` points and yields after each insertion; ``insert`` is a
+    block of one. Small caches evaluate the formula on every pair of a new
+    point and an earlier one. From ``SCREEN_MIN_FLOATS`` on, one matrix
+    product screens the stored rows against the whole block with an
+    approximate squared distance and a rigorous bound on its error, and the
+    formula is evaluated only on the few pairs that could change a minimum
+    (see ``extend``). On a 2000-point IID stream with d = 256 and 10 classes
+    (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), ``extend`` took
+    0.11 to 0.15 s in a warm process and one ``insert`` per point 0.42 to
+    0.48 s. Labels are stored as dense class ids, so memory does not depend
+    on the label values. The cache is single-owner and mutable; scoring
+    reads are safe between insertions.
     """
 
     def __init__(self, dim: int | None = None):
         self._dim = None if dim is None else int(dim)
         self._n = 0
         self._x: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._labels: np.ndarray | None = None
-        self._d_same: np.ndarray | None = None
-        self._d_other: np.ndarray | None = None
+        self._norms = np.empty(0)
+        self._labels = np.empty(0, dtype=np.int64)
+        # row 0: distance to the nearest same-label point, row 1: other label
+        self._nearest = np.empty((2, 0))
         self._class_ids: dict[int, int] = {}
 
     @property
@@ -108,48 +126,68 @@ class NnCache:
     @property
     def d_same(self) -> np.ndarray:
         """Per-point distance to the nearest same-label point (read-only view)."""
-        return self._view(self._d_same)
+        return self._view(self._nearest[0])
 
     @property
     def d_other(self) -> np.ndarray:
         """Per-point distance to the nearest other-label point (read-only view)."""
-        return self._view(self._d_other)
+        return self._view(self._nearest[1])
 
-    def _view(self, arr: np.ndarray | None) -> np.ndarray:
-        if arr is None:
-            return np.empty(0)
+    def _view(self, arr: np.ndarray) -> np.ndarray:
         out = arr[: self._n]
         out.flags.writeable = False
         return out
 
-    def _grow(self):
-        cap = 16 if self._x is None else 2 * self._x.shape[0]
-        x = np.empty((cap, self._dim), dtype=np.float64)
-        norms = np.empty(cap, dtype=np.float64)
-        labels = np.empty(cap, dtype=np.int64)
-        d_same = np.empty(cap, dtype=np.float64)
-        d_other = np.empty(cap, dtype=np.float64)
+    def _reserve(self, capacity: int):
+        x = np.empty((capacity, self._dim), dtype=np.float64)
+        norms = np.empty(capacity, dtype=np.float64)
+        labels = np.empty(capacity, dtype=np.int64)
+        nearest = np.empty((2, capacity), dtype=np.float64)
         if self._n:
             x[: self._n] = self._x[: self._n]
             norms[: self._n] = self._norms[: self._n]
             labels[: self._n] = self._labels[: self._n]
-            d_same[: self._n] = self._d_same[: self._n]
-            d_other[: self._n] = self._d_other[: self._n]
+            nearest[:, : self._n] = self._nearest[:, : self._n]
         self._x, self._norms, self._labels = x, norms, labels
-        self._d_same, self._d_other = d_same, d_other
+        self._nearest = nearest
 
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
 
-        Raises ValueError when the object dimension does not match the cache
-        (the first insertion fixes the dimension if it was not given).
+        The same as ``extend`` over a block of one. Raises ValueError when the
+        object dimension does not match the cache (the first insertion fixes
+        the dimension if it was not given). A block of one pays the block's
+        fixed cost on every point; for a stream, ``extend`` is about 3x
+        faster (see the class docstring).
+        """
+        for _ in self._insert_block([self._checked(obs)], [int(obs.y)], 1):
+            pass
 
-        Once n * dim reaches ``SCREEN_MIN_FLOATS``, only the stored rows that
-        pass a screen get their exact distance computed:
+    def extend(self, observations: Iterable[Observation]) -> Iterator[None]:
+        """Insert observations in order, yielding once after each insertion.
+
+        Between yields the cache holds exactly the observations inserted so
+        far, with the same minima and class ids as one ``insert`` each; it
+        must not be changed while the generator is suspended. A generator
+        that is dropped early leaves that prefix behind. An observation whose
+        dimension does not match (ValueError) or whose label is not an
+        integer raises after the observations before it have been inserted
+        and yielded. A first fill from a sized collection reserves exactly
+        its length.
+
+        The observations are inserted in blocks of up to ``_BLOCK``. A block's
+        rows, labels and squared norms are written first; then the pairs
+        (j, i) of its j-th point and every row i before it that need an exact
+        distance are found, all the distances are computed in one call, and
+        the steps are committed one at a time. Below ``SCREEN_MIN_FLOATS``
+        every pair is exact. From there on, the pairs with an earlier point
+        of the same block are always exact, and the pairs with the n0 rows
+        stored before the block pass a screen:
 
         Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
-        and t = ||x||**2, one product ``X @ x`` gives a_i = s_i - 2 X_i.x + t,
-        an approximation of the squared distance D_i = ||X_i - x||**2.
+        and t_j = ||x_j||**2, one product of the block with the stored rows
+        gives a_ji = s_i - 2 X_i.x_j + t_j, an approximation of the squared
+        distance D_ji = ||X_i - x_j||**2.
 
         Error bound. Let u = 2**-53 be the unit roundoff and eta = 2**-1075
         the largest rounding error of an underflowing product (IEEE
@@ -157,32 +195,59 @@ class NnCache:
         length d, summed in any order and with or without fused
         multiply-adds, is off by at most gamma_d * sum_k |a_k b_k| + d * eta,
         where gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
-        Numerical Algorithms, sec. 3.1). As |X_i.x| <= (S_i + T) / 2 for the
+        Numerical Algorithms, sec. 3.1); this covers a matrix product, whose
+        entries are such dot products. As |X_i.x| <= (S_i + T) / 2 for the
         exact norms S_i and T, the three dot products are off by at most
         2 gamma_d (S_i + T) + 4 d eta together, and the subtraction and the
-        addition that form a_i add at most 4 u (S_i + T) (1 + gamma_d). The
-        committed value q_i = fl(sum_k fl(fl(X_ik - x_k)**2)) is off from D_i
-        by at most gamma_{d+2} D_i + d eta, and D_i <= 2 (S_i + T). So
+        addition that form a_ji add at most 4 u (S_i + T) (1 + gamma_d). The
+        committed value q_ji = fl(sum_k fl(fl(X_ik - x_jk)**2)) is off from
+        D_ji by at most gamma_{d+2} D_ji + d eta, and D_ji <= 2 (S_i + T). So
 
-            |a_i - q_i| <= ((4 d + 8) u (S_i + T) + 5 d eta) (1 + O(d u)).
+            |a_ji - q_ji| <= ((4 d + 8) u (S_i + T) + 5 d eta) (1 + O(d u)).
 
-        The screen uses E_i = 8 (d + 4) (u (s_i + t) + 2 eta), about twice
-        that, which leaves room for rounding s_i, t, the bounds a_i -/+ E_i
-        and the squared thresholds below, each off by a few u of the same
-        size. Hence lo_i = a_i - E_i <= q_i <= a_i + E_i = hi_i.
+        The screen uses E_ji = 8 (d + 4) (u (s_i + t_j) + 2 eta), about twice
+        that, split into a row part e_i = 8 (d + 4) u s_i and a point part
+        f_j = 8 (d + 4) (u t_j + 2 eta). It forms the upper bound
+        hi_ji = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j) and then, in the same
+        array, the lower bound lo_ji = (hi_ji - 2 e_i) - 2 f_j. Rounding e_i,
+        f_j, these sums and differences and the squared thresholds below
+        costs a few u (S_i + T) in all, well inside the room the factor of
+        two leaves. Hence lo_ji <= q_ji <= hi_ji.
 
-        Candidates. As sqrt and rounding are monotone, row i is skipped only
-        when lo_i > m_i**2, so its distance cannot undercut m_i, the row's
-        current minimum of the relevant kind (``d_same`` when the labels
-        match, ``d_other`` otherwise), and lo_i > h, where h is the smallest
-        hi over the rows of its kind (same label as x, or another label), so
-        it cannot attain the new point's own minimum of that kind. Every
-        comparison is written as ``~(lo > threshold)``, so a NaN or infinite
-        approximation, e.g. from squared norms that overflow for entries
-        near 1e154, makes the row a candidate. The exact formula is then
-        applied to the candidates only and committed through ``np.minimum``
-        as for a small cache.
+        Candidates. As sqrt and rounding are monotone, the pair is skipped
+        only when lo_ji > m_i**2, so its distance cannot undercut m_i, row
+        i's minimum of the relevant kind (``d_same`` when the labels match,
+        ``d_other`` otherwise) at the start of the block, and lo_ji > h_j,
+        where h_j is the smallest hi_ji over the stored rows of its kind
+        (same label as x_j, or another label), so it cannot attain the new
+        point's own minimum of that kind. Minima only shrink, so m_i at the
+        start of the block is at least m_i at step j, and h_j over the stored
+        rows is at least the smallest hi over all rows before x_j, so a pair
+        skipped against the values at the start of the block cannot change
+        a minimum at step j either. A pair is skipped only where both
+        ``lo > threshold`` comparisons hold, so a NaN or infinite
+        approximation, e.g. from squared norms that overflow for entries near
+        1e154, makes the pair a candidate. The exact formula is then applied
+        to the candidates only and committed through ``np.minimum`` as for a
+        small cache.
         """
+        total = len(observations) if isinstance(observations, Sized) else 0
+        xs, ys = [], []
+        for obs in observations:
+            try:
+                x = self._checked(obs)
+                y = int(obs.y)
+            except (TypeError, ValueError):
+                yield from self._insert_block(xs, ys, total)
+                raise
+            xs.append(x)
+            ys.append(y)
+            if len(xs) == _BLOCK:
+                yield from self._insert_block(xs, ys, total)
+                xs, ys = [], []
+        yield from self._insert_block(xs, ys, total)
+
+    def _checked(self, obs: Observation) -> np.ndarray:
         x = np.asarray(obs.x, dtype=np.float64)
         if self._dim is None:
             self._dim = x.size
@@ -190,54 +255,86 @@ class NnCache:
             raise ValueError(
                 f"object dimension {x.size} does not match cache dimension {self._dim}"
             )
-        y = self._class_ids.setdefault(int(obs.y), len(self._class_ids))
-        if self._x is None or self._n == self._x.shape[0]:
-            self._grow()
-        n = self._n
-        # vdot, unlike @, does not warn when the norm overflows to inf, which
-        # only makes rows candidates (see the screen)
-        norm = self._norms[n] = np.vdot(x, x)
-        if n:
-            if n * self._dim < SCREEN_MIN_FLOATS:
-                diff = self._x[:n] - x
-                dist = np.sqrt((diff * diff).sum(axis=1))
-                same = self._labels[:n] == y
-                np.minimum(self._d_same[:n], np.where(same, dist, np.inf), out=self._d_same[:n])
-                np.minimum(self._d_other[:n], np.where(same, np.inf, dist), out=self._d_other[:n])
-            else:
-                rows = self._screen(x, norm, y)
-                diff = self._x[rows] - x
-                dist = np.sqrt((diff * diff).sum(axis=1))
-                same = self._labels[rows] == y
-                self._d_same[rows] = np.minimum(self._d_same[rows], np.where(same, dist, np.inf))
-                self._d_other[rows] = np.minimum(self._d_other[rows], np.where(same, np.inf, dist))
-            self._d_same[n] = dist[same].min() if same.any() else np.inf
-            self._d_other[n] = dist[~same].min() if not same.all() else np.inf
-        else:
-            self._d_same[0] = np.inf
-            self._d_other[0] = np.inf
-        self._x[n] = x
-        self._labels[n] = y
-        self._n = n + 1
+        return x
 
-    def _screen(self, x: np.ndarray, norm: float, y: int) -> np.ndarray:
-        """Indices of the stored rows whose exact distance to ``x`` is needed."""
-        n = self._n
-        s = self._norms[:n]
-        same = self._labels[:n] == y
+    def _insert_block(self, xs: list, labels: list, total: int) -> Iterator[None]:
+        b = len(xs)
+        if not b:
+            return
+        n0 = self._n
+        n = n0 + b
+        if self._x is None:
+            self._reserve(max(n, total))
+        elif n > self._x.shape[0]:
+            self._reserve(max(n, 2 * self._x.shape[0]))
+        x = self._x
+        x[n0:n] = xs
+        class_ids = dict(self._class_ids)
+        ys = [class_ids.setdefault(y, len(class_ids)) for y in labels]
+        self._labels[n0:n] = ys
+        for r in range(n0, n):
+            # vdot, unlike @, does not warn when the norm overflows to inf,
+            # which only makes pairs candidates (see the screen)
+            self._norms[r] = np.vdot(x[r], x[r])
+        # the j-th point of the block meets rows n0 + j - 1 and before
+        pairs = np.arange(n) < np.arange(n0, n)[:, None]
+        if n0 * self._dim >= SCREEN_MIN_FLOATS:
+            pairs[:, :n0] = self._screen(n0, n)
+        steps, rows = np.divmod(np.flatnonzero(pairs), n)
+        points = n0 + steps
+        diff = x[rows] - x[points]
+        diff *= diff
+        dist = np.sqrt(diff.sum(axis=1))
+        # 0 where the labels match, 1 where they differ: the row of _nearest
+        kind = (self._labels[rows] != self._labels[points]).astype(np.intp)
+        own = np.full((2, b), np.inf)
+        np.minimum.at(own, (kind, steps), dist)
+        nearest = self._nearest
+        bounds = np.searchsorted(steps, np.arange(b + 1)).tolist()
+        for j, r in enumerate(range(n0, n)):
+            seg = slice(bounds[j], bounds[j + 1])
+            cells = kind[seg], rows[seg]
+            nearest[cells] = np.minimum(nearest[cells], dist[seg])
+            nearest[:, r] = own[:, j]
+            self._class_ids.setdefault(labels[j], ys[j])
+            self._n = r + 1
+            yield
+            if self._n != r + 1:
+                raise RuntimeError("the cache was changed while extend was suspended")
+
+    def _screen(self, n0: int, n: int) -> np.ndarray:
+        """Candidate mask of the pairs of points n0..n-1 with the rows before n0."""
+        x = self._x
+        scale = 8.0 * (self._dim + 4)
+        s = self._norms[:n0]
+        t = self._norms[n0:n, None]
+        same = self._labels[:n0] == self._labels[n0:n, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            approx = self._x[:n] @ x
-            approx *= -2.0
-            approx += s
-            approx += norm
-            err = 8.0 * (self._dim + 4) * (_UNIT_ROUNDOFF * (s + norm) + _SMALLEST_SUBNORMAL)
-            lo = approx - err
-            hi = np.add(approx, err, out=approx)
-            own_same = np.where(same, hi, np.inf).min()
-            own_other = np.where(same, np.inf, hi).min()
-            current = np.where(same, self._d_same[:n], self._d_other[:n])
-            threshold = np.maximum(current * current, np.where(same, own_same, own_other))
-            return np.flatnonzero(~(lo > threshold))
+            err_s = scale * _UNIT_ROUNDOFF * s
+            err_t = scale * (_UNIT_ROUNDOFF * t + _SMALLEST_SUBNORMAL)
+            if n == n0 + 1:
+                # insertions one at a time come back to back, where a
+                # threaded matrix-vector product pays off
+                bound = (x[:n0] @ x[n0])[None]
+            else:
+                bound = np.empty((n - n0, n0))
+                step = max(1, _SERIAL_PRODUCT // ((n - n0) * self._dim))
+                for k in range(0, n0, step):
+                    stop = min(k + step, n0)
+                    np.matmul(x[n0:n], x[k:stop].T, out=bound[:, k:stop])
+            # hi = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j)
+            bound *= -2.0
+            bound += s + err_s
+            bound += t + err_t
+            own_same = np.where(same, bound, np.inf).min(axis=1, initial=np.inf, keepdims=True)
+            own_other = np.where(same, np.inf, bound).min(axis=1, initial=np.inf, keepdims=True)
+            # hi becomes lo
+            bound -= 2.0 * err_s
+            bound -= 2.0 * err_t
+            d_same, d_other = self._nearest[:, :n0]
+            skip = bound > np.where(same, d_same * d_same, d_other * d_other)
+            skip &= bound > np.where(same, own_same, own_other)
+            return ~skip
 
 
 def _extended_ratio(num, den) -> np.ndarray:

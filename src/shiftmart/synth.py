@@ -28,6 +28,7 @@ markov-labels
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -73,8 +74,16 @@ class ScenarioConfig:
                 "object dimension must be at least n_classes "
                 f"(got dim={self.dim}, n_classes={self.n_classes})"
             )
-        if self.shift_magnitude < 0:
-            raise ValueError("shift_magnitude must be nonnegative")
+        magnitude = self.shift_magnitude
+        if (
+            not isinstance(magnitude, numbers.Real)
+            or isinstance(magnitude, bool)
+            or not math.isfinite(magnitude)
+            or magnitude < 0
+        ):
+            raise ValueError(
+                f"shift_magnitude must be a finite nonnegative number, got {magnitude!r}"
+            )
         if self.scenario in _SHIFT_SCENARIOS:
             if self.changepoint is None:
                 raise ValueError(f"{self.scenario} requires a changepoint")

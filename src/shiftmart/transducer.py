@@ -131,13 +131,12 @@ def interleave(
     p_black = np.empty(len(stream)) if with_black else None
     p_concept = np.empty(len(stream))
     p_label = np.empty(len(stream)) if with_label else None
-    for k, obs in enumerate(stream):
+    for k, _ in enumerate(cache.extend(stream)):
         if with_black:
             tau_black = tau_black_src.uniform_draw()
         tau = tau_src.uniform_draw()
         if with_label:
             tau_prime = tau_prime_src.uniform_draw()
-        cache.insert(obs)
         labels = cache.labels
         concept_scores = score_nn(concept_measure, cache)
         if with_black:

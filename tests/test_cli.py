@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,21 @@ def test_loader_rejects_bad_labels_and_features(tmp_path):
         load_usps(str(missing), str(test))
 
 
+@pytest.mark.parametrize("label", ["inf", "1e400", "nan", "-inf"])
+def test_loader_rejects_non_finite_labels(tmp_path, monkeypatch, capsys, label):
+    train = tmp_path / "label.train"
+    train.write_text(usps_row(3) + "\n" + usps_row(label) + "\n")
+    test = tmp_path / "ok.test"
+    test.write_text(usps_row(1) + "\n")
+    with pytest.raises(DataError, match=r"label\.train:2: label"):
+        load_usps(str(train), str(test))
+    monkeypatch.chdir(tmp_path)
+    raw = scenario_config_dict()
+    raw["data"] = {"kind": "usps", "train_path": str(train), "test_path": str(test)}
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_DATA
+    assert "label.train:2" in capsys.readouterr().err
+
+
 # --- config --------------------------------------------------------------------
 
 
@@ -141,6 +160,12 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({}, {"n_classes": 2.0}, "n_classes"),
         ({}, {"seed": 1.5}, "seed"),
         ({}, {"scenario": "concept-shift", "changepoint": 20.5}, "changepoint"),
+        ({}, {"scenario": "label-shift", "changepoint": 20, "shift_magnitude": float("inf")}, "shift_magnitude"),
+        ({}, {"scenario": "label-shift", "changepoint": 20, "shift_magnitude": float("nan")}, "shift_magnitude"),
+        ({}, {"scenario": "label-shift", "changepoint": 20, "shift_magnitude": True}, "shift_magnitude"),
+        ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": True}, "shift_magnitude"),
+        ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": "2"}, "shift_magnitude"),
+        ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": -1.0}, "shift_magnitude"),
     ],
     ids=[
         "shared-string",
@@ -152,6 +177,12 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "n_classes-float",
         "data-seed-float",
         "changepoint-float",
+        "shift-infinity",
+        "shift-nan",
+        "shift-bool-label",
+        "shift-bool-concept",
+        "shift-string",
+        "shift-negative",
     ],
 )
 def test_run_command_rejects_mistyped_config_values(
@@ -180,6 +211,22 @@ def test_config_accepts_markov_transition_lists():
         }
     )
     assert config.data.label_transition == ((0.1, 0.9), (0.9, 0.1))
+
+
+def test_import_and_run_do_not_load_scipy():
+    # scipy is a test dependency only; importing it costs set-up time and memory
+    code = (
+        "import sys\n"
+        "from shiftmart import ExperimentConfig, ScenarioConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(data=ScenarioConfig('iid', n_steps=30), seed=1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # --- run_experiment --------------------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftmart import NN_VARIANTS, NnCache, Observation, label_average, score_nn
+from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS
 
 from oracles import nn_distances_bruteforce
+from test_acceptance import _screened_streams
 
 
 def make_stream(points, labels):
@@ -53,6 +55,104 @@ def test_dimension_mismatch_is_rejected():
     cache = fill_cache(make_stream([[0.0, 0.0]], [0]))
     with pytest.raises(ValueError, match="dimension"):
         cache.insert(Observation(np.zeros(3), 0))
+
+
+def assert_same_state(cache, reference, context):
+    assert cache.n == reference.n, context
+    assert np.array_equal(cache.labels, reference.labels), context
+    assert np.array_equal(cache.d_same, reference.d_same), context
+    assert np.array_equal(cache.d_other, reference.d_other), context
+
+
+def extend_in_lockstep(cache, stream, reference, context):
+    """Extend ``cache`` and insert the same stream one at a time into
+    ``reference``, requiring equal states after every yield."""
+    for k, _ in enumerate(cache.extend(stream)):
+        reference.insert(stream[k])
+        assert_same_state(cache, reference, f"{context}, step {k}")
+
+
+def block_streams():
+    rng = np.random.default_rng(23)
+    for n, d in ((512, 64), (200, 256), (1200, 2)):
+        for n_classes in (2, 10):
+            families = _screened_streams(rng, n, d, n_classes)
+            if d == 2:
+                families = {name: families[name] for name in ("iid", "duplicates")}
+            for name, (points, labels) in families.items():
+                yield f"{name} (n={n}, d={d}, K={n_classes})", points, labels
+
+
+def test_extend_matches_one_at_a_time_inserts_and_the_full_scan():
+    checked = 0
+    for context, points, labels in block_streams():
+        n, d = points.shape
+        stream = make_stream(points, labels)
+        # a first call of ``head`` points makes a block of the second call
+        # start one row below the screen threshold, so it straddles it; the
+        # second call's length is not a multiple of the block
+        threshold_rows = -(-SCREEN_MIN_FLOATS // d)
+        head = (threshold_rows - 1) % _BLOCK
+        assert (n - head) % _BLOCK
+        cache, reference = NnCache(), NnCache()
+        extend_in_lockstep(cache, stream[:head], reference, context)
+        extend_in_lockstep(cache, stream[head:], reference, context)
+        d_same, d_other = nn_distances_bruteforce(points, labels)
+        assert np.array_equal(cache.d_same, d_same), context
+        assert np.array_equal(cache.d_other, d_other), context
+        checked += 1
+    assert checked == 36
+
+
+def test_extend_stops_at_a_mismatched_dimension_mid_block():
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(46, 64))
+    labels = rng.integers(0, 3, size=46)
+    stream = make_stream(points, labels)
+    bad = 2 * _BLOCK + 8
+    stream[bad] = Observation(np.zeros(63), 0)
+    cache, reference = NnCache(), NnCache()
+    yielded = 0
+    with pytest.raises(ValueError, match="dimension"):
+        for _ in cache.extend(stream):
+            yielded += 1
+    assert yielded == bad
+    for obs in stream[:bad]:
+        reference.insert(obs)
+    assert_same_state(cache, reference, "after the mismatch")
+    d_same, d_other = nn_distances_bruteforce(points[:bad], labels[:bad])
+    assert np.array_equal(cache.d_same, d_same)
+    assert np.array_equal(cache.d_other, d_other)
+
+
+def test_abandoned_extend_leaves_the_yielded_prefix():
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(60, 64))
+    # labels 8 and 3 first appear in the part of the block never yielded
+    labels = np.array([5] * 20 + [8, 3] * 5 + [5] * 10 + [3, 8, 5] * 6 + [3, 8])
+    stream = make_stream(points, labels)
+    head, tail = stream[:40], stream[40:]
+    cache = NnCache()
+    steps = cache.extend(head)
+    for _ in range(_BLOCK + 4):
+        next(steps)
+    steps.close()
+    kept = _BLOCK + 4
+    for obs in tail:
+        cache.insert(obs)
+    reference = fill_cache(stream[:kept] + tail)
+    assert_same_state(cache, reference, "after abandoning extend")
+    assert cache.labels[kept] == 1  # label 3, the first new label inserted
+
+
+def test_extend_refuses_to_resume_after_the_cache_changed():
+    stream = make_stream(np.arange(40.0), [0, 1] * 20)
+    cache = NnCache()
+    steps = cache.extend(stream[:20])
+    next(steps)
+    cache.insert(stream[30])
+    with pytest.raises(RuntimeError, match="changed"):
+        next(steps)
 
 
 def test_labels_are_dense_ids_in_first_seen_order():
