@@ -45,30 +45,25 @@ NN_VARIANTS = (
 )
 
 
-# A block of insertions into a cache of n points of dimension d screens the
-# stored rows with one matrix product once n * d reaches this many floats;
-# below it every pair is computed exactly. Both ways commit the same formula,
-# so the switch changes no output. Timed per block of 16 in a warm process
-# (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), the screen broke even
-# with the exact computation of every pair near n * d = 128 for d = 2, 512
-# for d = 8 and 2048 for d = 64, and below 4096 for d = 256; at n = 512 it
-# took 0.32 of the time for d = 2 and 0.08 for d = 256. Below the break-even
-# a block costs about 0.3 ms either way.
-SCREEN_MIN_FLOATS = 128
+# A block of b insertions into a cache of n points of dimension d screens the
+# stored rows with one b x n x d matrix product once b * n * d reaches this
+# many multiply-adds; below it every pair is computed exactly. Both ways
+# commit the same formula, so the switch changes no output. Timed in a warm
+# process (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), the screen
+# broke even with the exact computation of every pair near b * n * d = 1000
+# to 1500 for d = 2, 4000 for d = 8 and 25000 for d = 64 and 256, for blocks
+# of 1 and of 16 alike. Between this value and those break-evens the slower
+# way took at most about twice as long as the faster, and a block cost up to
+# 0.15 ms (1 point) or 0.35 ms (16 points) either way; at n = 512 a block of
+# 16 took 0.34 of the time with the screen for d = 2 and 0.12 for d = 256.
+SCREEN_MIN_FLOATS = 4096
 
 # New points inserted and screened together by ``NnCache.extend``. A block of
-# b points makes a few b x n float temporaries. Interleaving the usps-shape
-# workload (n = 2000, d = 256, K = 10) took the same time within noise with
-# blocks of 8, 16 and 32, and 32 cost 1.3 MiB more peak memory than 16.
+# b points makes a few b x n float temporaries. Interleaving 2000 points of
+# d = 256 with 10 classes in a warm process took 0.33 to 0.42 s with blocks
+# of 8 and 0.25 to 0.33 s with blocks of 16 and 32, and the peak memory of
+# the three differed by less than 0.2 MiB.
 _BLOCK = 16
-
-# Multiply-adds in one slice of a block's product with the stored rows.
-# OpenBLAS runs a matrix product of up to 2**18 (m * n * k) on the calling
-# thread. On a 2-vCPU VM a larger product, run on two threads a block after
-# the previous one, took 6 to 8 ms instead of 0.45 ms in some periods while
-# the idle worker thread was woken; in slices the product of 16 points with
-# 2000 rows of d = 256 took 0.66 to 0.82 ms in every period.
-_SERIAL_PRODUCT = 2**18
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
@@ -82,14 +77,15 @@ class NnCache:
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` inserts a stream in blocks of
     up to ``_BLOCK`` points and yields after each insertion; ``insert`` is a
-    block of one. Small caches evaluate the formula on every pair of a new
-    point and an earlier one. From ``SCREEN_MIN_FLOATS`` on, one matrix
+    block of one. Small blocks and caches evaluate the formula on every
+    pair of a new point and an earlier one. Once a block's product with the
+    stored rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix
     product screens the stored rows against the whole block with an
     approximate squared distance and a rigorous bound on its error, and the
     formula is evaluated only on the few pairs that could change a minimum
     (see ``extend``). On a 2000-point IID stream with d = 256 and 10 classes
     (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), ``extend`` took
-    0.11 to 0.15 s in a warm process and one ``insert`` per point 0.42 to
+    0.11 to 0.15 s in a warm process and one ``insert`` per point 0.46 to
     0.48 s. Labels are stored as dense class ids, so memory does not depend
     on the label values. The cache is single-owner and mutable; scoring
     reads are safe between insertions.
@@ -179,7 +175,8 @@ class NnCache:
         rows, labels and squared norms are written first; then the pairs
         (j, i) of its j-th point and every row i before it that need an exact
         distance are found, all the distances are computed in one call, and
-        the steps are committed one at a time. Below ``SCREEN_MIN_FLOATS``
+        the steps are committed one at a time. While the block's product with
+        the stored rows stays below ``SCREEN_MIN_FLOATS`` multiply-adds,
         every pair is exact. From there on, the pairs with an earlier point
         of the same block are always exact, and the pairs with the n0 rows
         stored before the block pass a screen:
@@ -278,23 +275,25 @@ class NnCache:
             self._norms[r] = np.vdot(x[r], x[r])
         # the j-th point of the block meets rows n0 + j - 1 and before
         pairs = np.arange(n) < np.arange(n0, n)[:, None]
-        if n0 * self._dim >= SCREEN_MIN_FLOATS:
+        if b * n0 * self._dim >= SCREEN_MIN_FLOATS:
             pairs[:, :n0] = self._screen(n0, n)
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
         diff = x[rows] - x[points]
         diff *= diff
         dist = np.sqrt(diff.sum(axis=1))
-        # 0 where the labels match, 1 where they differ: the row of _nearest
-        kind = (self._labels[rows] != self._labels[points]).astype(np.intp)
+        # 0 where the labels match, 1 where they differ: the row of _nearest.
+        # Flat indices take a faster path in numpy than pairs of indices.
+        kind = self._labels[rows] != self._labels[points]
         own = np.full((2, b), np.inf)
-        np.minimum.at(own, (kind, steps), dist)
+        np.minimum.at(own.reshape(-1), kind * b + steps, dist)
         nearest = self._nearest
+        flat = nearest.reshape(-1)
+        cells = kind * nearest.shape[1] + rows
         bounds = np.searchsorted(steps, np.arange(b + 1)).tolist()
         for j, r in enumerate(range(n0, n)):
             seg = slice(bounds[j], bounds[j + 1])
-            cells = kind[seg], rows[seg]
-            nearest[cells] = np.minimum(nearest[cells], dist[seg])
+            flat[cells[seg]] = np.minimum(flat[cells[seg]], dist[seg])
             nearest[:, r] = own[:, j]
             self._class_ids.setdefault(labels[j], ys[j])
             self._n = r + 1
@@ -312,16 +311,7 @@ class NnCache:
         with np.errstate(over="ignore", invalid="ignore"):
             err_s = scale * _UNIT_ROUNDOFF * s
             err_t = scale * (_UNIT_ROUNDOFF * t + _SMALLEST_SUBNORMAL)
-            if n == n0 + 1:
-                # insertions one at a time come back to back, where a
-                # threaded matrix-vector product pays off
-                bound = (x[:n0] @ x[n0])[None]
-            else:
-                bound = np.empty((n - n0, n0))
-                step = max(1, _SERIAL_PRODUCT // ((n - n0) * self._dim))
-                for k in range(0, n0, step):
-                    stop = min(k + step, n0)
-                    np.matmul(x[n0:n], x[k:stop].T, out=bound[:, k:stop])
+            bound = x[n0:n] @ x[:n0].T
             # hi = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j)
             bound *= -2.0
             bound += s + err_s
@@ -334,7 +324,7 @@ class NnCache:
             d_same, d_other = self._nearest[:, :n0]
             skip = bound > np.where(same, d_same * d_same, d_other * d_other)
             skip &= bound > np.where(same, own_same, own_other)
-            return ~skip
+            return np.logical_not(skip, out=skip)
 
 
 def _extended_ratio(num, den) -> np.ndarray:

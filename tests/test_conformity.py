@@ -89,9 +89,10 @@ def test_extend_matches_one_at_a_time_inserts_and_the_full_scan():
         n, d = points.shape
         stream = make_stream(points, labels)
         # a first call of ``head`` points makes a block of the second call
-        # start one row below the screen threshold, so it straddles it; the
-        # second call's length is not a multiple of the block
-        threshold_rows = -(-SCREEN_MIN_FLOATS // d)
+        # start one row below the first full block that is screened, so it
+        # straddles the threshold; the second call's length is not a
+        # multiple of the block
+        threshold_rows = -(-SCREEN_MIN_FLOATS // (_BLOCK * d))
         head = (threshold_rows - 1) % _BLOCK
         assert (n - head) % _BLOCK
         cache, reference = NnCache(), NnCache()
