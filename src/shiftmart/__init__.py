@@ -34,7 +34,7 @@ from .cli import (
     run_experiment,
     write_trajectory_csv,
 )
-from .conformity import NN_VARIANTS, NnCache, label_average, score_nn
+from .conformity import NN_VARIANTS, NnCache, class_means, label_average, nn_scores, score_nn
 from .core import Label, Observation, RandomSource
 from .synth import (
     SCENARIOS,
@@ -74,6 +74,7 @@ __all__ = [
     "UspsPaths",
     "bet_step",
     "check_betting_validity",
+    "class_means",
     "generate",
     "initial_state",
     "interleave",
@@ -81,6 +82,7 @@ __all__ = [
     "ks_uniform_bound",
     "label_average",
     "load_usps",
+    "nn_scores",
     "p_conformal",
     "p_label_conditional",
     "pair_chisq",

@@ -127,6 +127,13 @@ class UspsPaths:
     train_path: str
     test_path: str
 
+    def __post_init__(self):
+        # open() would take an integer (or a bool) as a file descriptor
+        for name in ("train_path", "test_path"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string, got {value!r}")
+
 
 def _is_real(value) -> bool:
     """True for real numbers; JSON ``true``/``false`` arrive as bools and are not."""
@@ -362,15 +369,21 @@ def render_trajectory_csv(table: TrajectoryTable) -> str:
 
 
 def write_trajectory_csv(table: TrajectoryTable, path: str) -> None:
-    """Emit the table to ``path`` atomically, leaving no partial output."""
+    """Emit the table to ``path`` atomically, leaving no partial output.
+
+    A path that cannot be written (a missing directory, a directory at
+    ``path``) raises ConfigError naming it.
+    """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as out:
             out.write(render_trajectory_csv(table))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
         raise
 
 
@@ -456,7 +469,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out_dir}: {exc}") from exc
     base = args.seed if args.seed is not None else config.seed
     tasks = [
         (config, base + i, os.path.join(args.out_dir, f"seed{base + i}.csv"))

@@ -24,9 +24,11 @@ Downstream p-values depend on scores only through ranks, so any fixed
 measurable convention preserves their validity; these keep the scores totally
 ordered and free of NaNs.
 
-``label_average`` replaces every score by the mean score of its label class,
-which makes the output depend on the labels alone (equal labels always
-receive bit-identical scores).
+``nn_scores`` holds these conventions once, for any rows' distances;
+``score_nn`` applies it to a whole cache. ``label_average`` replaces every
+score by the mean score of its label class (``class_means``), which makes the
+output depend on the labels alone (equal labels always receive bit-identical
+scores).
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class NnCache:
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` inserts a stream in blocks of
-    up to ``_BLOCK`` points and yields after each insertion; ``insert`` is a
-    block of one. Small blocks and caches evaluate the formula on every
+    up to ``_BLOCK`` points and yields after each insertion the stored rows
+    whose minima it lowered; ``insert`` is a block of one. Small blocks and caches evaluate the formula on every
     pair of a new point and an earlier one. Once a block's product with the
     stored rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix
     product screens the stored rows against the whole block with an
@@ -100,6 +102,7 @@ class NnCache:
         # row 0: distance to the nearest same-label point, row 1: other label
         self._nearest = np.empty((2, 0))
         self._class_ids: dict[int, int] = {}
+        self._make_views()
 
     @property
     def n(self) -> int:
@@ -117,22 +120,17 @@ class NnCache:
         exactly when they share a label, and the ids are below the number of
         distinct labels however large the labels themselves are.
         """
-        return self._view(self._labels)
+        return self._labels_view[: self._n]
 
     @property
     def d_same(self) -> np.ndarray:
         """Per-point distance to the nearest same-label point (read-only view)."""
-        return self._view(self._nearest[0])
+        return self._nearest_view[0, : self._n]
 
     @property
     def d_other(self) -> np.ndarray:
         """Per-point distance to the nearest other-label point (read-only view)."""
-        return self._view(self._nearest[1])
-
-    def _view(self, arr: np.ndarray) -> np.ndarray:
-        out = arr[: self._n]
-        out.flags.writeable = False
-        return out
+        return self._nearest_view[1, : self._n]
 
     def _reserve(self, capacity: int):
         x = np.empty((capacity, self._dim), dtype=np.float64)
@@ -146,6 +144,15 @@ class NnCache:
             nearest[:, : self._n] = self._nearest[:, : self._n]
         self._x, self._norms, self._labels = x, norms, labels
         self._nearest = nearest
+        self._make_views()
+
+    def _make_views(self):
+        # slices of a read-only view are read-only, so the properties can
+        # hand out views of the storage without setting a flag on each
+        self._labels_view = self._labels.view()
+        self._nearest_view = self._nearest.view()
+        self._labels_view.flags.writeable = False
+        self._nearest_view.flags.writeable = False
 
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
@@ -159,12 +166,15 @@ class NnCache:
         for _ in self._insert_block([self._checked(obs)], [int(obs.y)], 1):
             pass
 
-    def extend(self, observations: Iterable[Observation]) -> Iterator[None]:
+    def extend(self, observations: Iterable[Observation]) -> Iterator[np.ndarray]:
         """Insert observations in order, yielding once after each insertion.
 
-        Between yields the cache holds exactly the observations inserted so
-        far, with the same minima and class ids as one ``insert`` each; it
-        must not be changed while the generator is suspended. A generator
+        Each yield is an ascending int array of the stored rows, the new row
+        excluded, whose ``d_same`` or ``d_other`` that insertion lowered;
+        every other row keeps its minima and so its scores. Between yields
+        the cache holds exactly the observations inserted so far, with the
+        same minima and class ids as one ``insert`` each; it must not be
+        changed while the generator is suspended. A generator
         that is dropped early leaves that prefix behind. An observation whose
         dimension does not match (ValueError) or whose label is not an
         integer raises after the observations before it have been inserted
@@ -206,7 +216,11 @@ class NnCache:
         that, split into a row part e_i = 8 (d + 4) u s_i and a point part
         f_j = 8 (d + 4) (u t_j + 2 eta). It forms the upper bound
         hi_ji = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j) and then, in the same
-        array, the lower bound lo_ji = (hi_ji - 2 e_i) - 2 f_j. Rounding e_i,
+        array, the lower bound lo_ji = (hi_ji - 2 e_i) - 2 f_j. The product
+        -2 X_i.x_j is taken with -2 x_j, which doubling gives exactly, so it
+        is off by at most twice the error of X_i.x_j, as counted above (an
+        x_j large enough for the doubling to overflow has t_j = inf, and its
+        pairs become candidates as described below). Rounding e_i,
         f_j, these sums and differences and the squared thresholds below
         costs a few u (S_i + T) in all, well inside the room the factor of
         two leaves. Hence lo_ji <= q_ji <= hi_ji.
@@ -221,12 +235,16 @@ class NnCache:
         start of the block is at least m_i at step j, and h_j over the stored
         rows is at least the smallest hi over all rows before x_j, so a pair
         skipped against the values at the start of the block cannot change
-        a minimum at step j either. A pair is skipped only where both
-        ``lo > threshold`` comparisons hold, so a NaN or infinite
-        approximation, e.g. from squared norms that overflow for entries near
-        1e154, makes the pair a candidate. The exact formula is then applied
-        to the candidates only and committed through ``np.minimum`` as for a
-        small cache.
+        a minimum at step j either. A pair is skipped only where
+        ``lo > max(m**2, h)`` holds, and ``np.maximum`` propagates NaN, so a
+        NaN or infinite approximation, e.g. from squared norms that overflow
+        for entries near 1e154, makes the pair a candidate. The exact
+        formula is then applied to the candidates only, as for a small cache.
+
+        Commit. A step writes a distance only where it is below the current
+        minimum, and those rows are the ones it yields. Observations are
+        finite, so a distance is finite or +inf and never NaN, and the write
+        is bit for bit what ``np.minimum`` would store.
         """
         total = len(observations) if isinstance(observations, Sized) else 0
         xs, ys = [], []
@@ -254,7 +272,7 @@ class NnCache:
             )
         return x
 
-    def _insert_block(self, xs: list, labels: list, total: int) -> Iterator[None]:
+    def _insert_block(self, xs: list, labels: list, total: int) -> Iterator[np.ndarray]:
         b = len(xs)
         if not b:
             return
@@ -276,7 +294,7 @@ class NnCache:
         # the j-th point of the block meets rows n0 + j - 1 and before
         pairs = np.arange(n) < np.arange(n0, n)[:, None]
         if b * n0 * self._dim >= SCREEN_MIN_FLOATS:
-            pairs[:, :n0] = self._screen(n0, n)
+            self._screen(n0, n, pairs[:, :n0])
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
         diff = x[rows] - x[points]
@@ -285,24 +303,27 @@ class NnCache:
         # 0 where the labels match, 1 where they differ: the row of _nearest.
         # Flat indices take a faster path in numpy than pairs of indices.
         kind = self._labels[rows] != self._labels[points]
-        own = np.full((2, b), np.inf)
-        np.minimum.at(own.reshape(-1), kind * b + steps, dist)
         nearest = self._nearest
         flat = nearest.reshape(-1)
-        cells = kind * nearest.shape[1] + rows
+        capacity = nearest.shape[1]
+        # each row of the block starts from its minima over the rows before it
+        nearest[:, n0:n] = np.inf
+        np.minimum.at(flat, kind * capacity + points, dist)
+        cells = kind * capacity + rows
         bounds = np.searchsorted(steps, np.arange(b + 1)).tolist()
         for j, r in enumerate(range(n0, n)):
             seg = slice(bounds[j], bounds[j + 1])
-            flat[cells[seg]] = np.minimum(flat[cells[seg]], dist[seg])
-            nearest[:, r] = own[:, j]
+            step_cells, step_dist = cells[seg], dist[seg]
+            lower = step_dist < flat[step_cells]
+            flat[step_cells[lower]] = step_dist[lower]
             self._class_ids.setdefault(labels[j], ys[j])
             self._n = r + 1
-            yield
+            yield rows[seg][lower]
             if self._n != r + 1:
                 raise RuntimeError("the cache was changed while extend was suspended")
 
-    def _screen(self, n0: int, n: int) -> np.ndarray:
-        """Candidate mask of the pairs of points n0..n-1 with the rows before n0."""
+    def _screen(self, n0: int, n: int, out: np.ndarray) -> None:
+        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0."""
         x = self._x
         scale = 8.0 * (self._dim + 4)
         s = self._norms[:n0]
@@ -311,9 +332,8 @@ class NnCache:
         with np.errstate(over="ignore", invalid="ignore"):
             err_s = scale * _UNIT_ROUNDOFF * s
             err_t = scale * (_UNIT_ROUNDOFF * t + _SMALLEST_SUBNORMAL)
-            bound = x[n0:n] @ x[:n0].T
             # hi = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j)
-            bound *= -2.0
+            bound = (-2.0 * x[n0:n]) @ x[:n0].T
             bound += s + err_s
             bound += t + err_t
             own_same = np.where(same, bound, np.inf).min(axis=1, initial=np.inf, keepdims=True)
@@ -322,60 +342,85 @@ class NnCache:
             bound -= 2.0 * err_s
             bound -= 2.0 * err_t
             d_same, d_other = self._nearest[:, :n0]
-            skip = bound > np.where(same, d_same * d_same, d_other * d_other)
-            skip &= bound > np.where(same, own_same, own_other)
-            return np.logical_not(skip, out=skip)
+            threshold = np.where(
+                same,
+                np.maximum(d_same * d_same, own_same),
+                np.maximum(d_other * d_other, own_other),
+            )
+            np.logical_not(bound > threshold, out=out)
 
 
-def _extended_ratio(num, den) -> np.ndarray:
+def _extended_ratio(num, den: np.ndarray) -> np.ndarray:
     """Elementwise num/den under the module's extended-real conventions."""
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
+        out = np.divide(num, den, out=np.empty_like(den))
     # 0/0 and inf/inf come out as NaN; both map to 1 by convention.
-    out = np.where(np.isnan(out), 1.0, out)
+    out[np.isnan(out)] = 1.0
     return out
 
 
-def score_nn(variant: str, cache: NnCache) -> np.ndarray:
-    """Conformity scores of the cached prefix under one of the NN variants.
+def nn_scores(variant: str, d_same, d_other) -> np.ndarray:
+    """Conformity scores of points with the given nearest-neighbour distances.
 
-    Higher scores mean more conforming. The result has one entry per stored
-    observation and may contain +inf but never NaN.
+    Elementwise over equal-shaped ``d_same`` and ``d_other`` arrays, so the
+    scores of any subset of a cache's rows are those of ``score_nn`` at the
+    same rows. Higher scores mean more conforming; the result may contain
+    +inf but never NaN.
     """
     if variant not in NN_VARIANTS:
         raise ValueError(f"unknown conformity variant {variant!r}")
-    if cache.n == 0:
-        raise ValueError("cannot score an empty cache")
-    ds = cache.d_same
-    do = cache.d_other
+    ds = np.asarray(d_same, dtype=np.float64)
+    do = np.asarray(d_other, dtype=np.float64)
     if variant == "ratio":
         return _extended_ratio(do, ds)
     if variant == "ratio-squared-denominator":
         return _extended_ratio(do, ds * ds)
     if variant == "same-class":
-        return _extended_ratio(np.ones_like(ds), ds)
-    return _extended_ratio(np.ones_like(ds), np.minimum(ds, do))
+        return _extended_ratio(1.0, ds)
+    return _extended_ratio(1.0, np.minimum(ds, do))
 
 
-def label_average(scores, labels) -> np.ndarray:
-    """Replace each score by the mean score of its label class.
+def score_nn(variant: str, cache: NnCache) -> np.ndarray:
+    """Conformity scores of the cached prefix under one of the NN variants.
+
+    The result has one entry per stored observation: ``nn_scores`` of the
+    cache's ``d_same`` and ``d_other``.
+    """
+    if cache.n == 0:
+        raise ValueError("cannot score an empty cache")
+    return nn_scores(variant, cache.d_same, cache.d_other)
+
+
+def class_means(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Mean score and size of each label class, indexed by label.
 
     Infinite inputs are first clamped to twice the largest finite score (to
-    1.0 when no finite score exists) so the class means stay finite; this is
-    rank-affecting only in degenerate prefixes. The output assigns
-    bit-identical values to equal labels. Memory grows with the largest
-    label, so pass dense class ids such as ``NnCache.labels``.
+    1.0 when no finite score exists) so the means stay finite; this is
+    rank-affecting only in degenerate prefixes. A label below the largest one
+    that does not occur has count 0 and mean 0. Memory grows with the
+    largest label, so pass dense class ids such as ``NnCache.labels``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
-    finite = np.isfinite(scores)
-    if not finite.all():
-        cap = 2.0 * scores[finite].max() if finite.any() else 1.0
-        scores = np.where(finite, scores, cap)
     sums = np.bincount(labels, weights=scores)
+    # a class sum is finite only if its scores are; an overflowing sum of
+    # finite scores takes this branch too and recomputes the same sums
+    if not np.isfinite(sums).all():
+        finite = np.isfinite(scores)
+        cap = 2.0 * scores[finite].max() if finite.any() else 1.0
+        sums = np.bincount(labels, weights=np.where(finite, scores, cap))
     counts = np.bincount(labels)
-    return sums[labels] / counts[labels]
+    # a label that does not occur has sum 0 and so mean 0
+    return sums / np.maximum(counts, 1), counts
+
+
+def label_average(scores, labels) -> np.ndarray:
+    """Replace each score by the mean score of its label class.
+
+    The means are those of ``class_means``, so the output assigns
+    bit-identical values to equal labels.
+    """
+    means, _ = class_means(scores, labels)
+    return means[np.asarray(labels, dtype=np.int64)]

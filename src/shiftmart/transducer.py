@@ -16,20 +16,23 @@ single pass, drawing each leg's tie-breaking values tau from its own named
 substream. Under exchangeable streams with independent tau substreams the
 interleaved p-values behave as independent uniforms, which is what makes the
 product of the concept and label test martingales a valid exchangeability
-martingale. Scores are recomputed from the full prefix at every step (adding
-an observation changes earlier nearest-neighbour scores), so no stale-score
-shortcut is taken.
+martingale. Adding an observation changes the nearest-neighbour scores of
+earlier observations, so every step rescores exactly the rows whose
+distances that insertion lowered, and the new row; the ranks then come from
+sorted score lists and class means and equal those of the two transducers on
+the full prefix, bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Observation, RandomSource
-from .conformity import NN_VARIANTS, NnCache, label_average, score_nn
+from .conformity import NN_VARIANTS, NnCache, class_means, nn_scores
 
 
 def _check_tau(tau: float) -> float:
@@ -78,6 +81,35 @@ def p_label_conditional(scores, labels, tau: float) -> float:
     return (less + tau * equal) / sub.size
 
 
+def _rank(ordered: list, score: float, tau: float) -> float:
+    """``p_conformal`` of ``score`` among the sorted scores that include it."""
+    less = bisect_left(ordered, score)
+    equal = bisect_right(ordered, score) - less
+    return (less + tau * equal) / len(ordered)
+
+
+def _move(ordered: list, old: float, new: float) -> None:
+    """Replace one copy of ``old`` by ``new`` in a sorted list."""
+    del ordered[bisect_left(ordered, old)]
+    insort(ordered, new)
+
+
+def _tau_draws(sources: Sequence[RandomSource | None], steps: int) -> list[np.ndarray | None]:
+    """The tau values of each source for ``steps`` steps that draw from the
+    sources in order, None where the source is None.
+
+    A source listed more than once (shared randomization) is drawn from in
+    turn at each step. ``uniform_draws(m)`` is the sequence of ``m`` single
+    draws, so the values are those of drawing one at a time.
+    """
+    columns = {}
+    for src in sources:
+        if src is not None and id(src) not in columns:
+            legs = sum(other is src for other in sources)
+            columns[id(src)] = iter(src.uniform_draws(legs * steps).reshape(steps, legs).T)
+    return [None if src is None else next(columns[id(src)]) for src in sources]
+
+
 @dataclass(frozen=True, eq=False)
 class InterleavedPValues:
     """Per-step p-values of the legs plus randomization provenance.
@@ -110,14 +142,25 @@ def interleave(
     """Run the transducer legs over a stream of observations.
 
     ``concept_measure`` and ``label_measure`` are NN variant tags; they may
-    differ. The concept leg feeds raw scores to ``p_label_conditional``; the
-    label leg class-averages the scores first and feeds ``p_conformal``. A
-    ``label_measure`` of None drops the label leg, and ``tau_prime_src`` is
-    then never drawn from. With ``tau_black_src`` the black leg feeds the
-    concept scores to ``p_conformal``. Each step draws black, concept, label,
-    in that order, so passing one source for all of them is the
-    shared-randomization compatibility mode; the default contract is
-    disjoint substreams.
+    differ. The concept leg ranks the newest raw score within its class, as
+    ``p_label_conditional`` does; the label leg ranks the newest class mean
+    among the class-averaged scores, as ``p_conformal`` on ``label_average``
+    does. A ``label_measure`` of None drops the label leg, and
+    ``tau_prime_src`` is then never drawn from. With ``tau_black_src`` the
+    black leg ranks the newest concept score among all of them, as
+    ``p_conformal`` does. Each step's tau values are those of drawing black,
+    concept, label, in that order, so passing one source for all of them is
+    the shared-randomization compatibility mode; the default contract is
+    disjoint substreams. They are drawn for the whole stream up front, which
+    gives the same values.
+
+    Each step rescores with ``nn_scores`` only the rows that
+    ``NnCache.extend`` yields as changed, and the new row. The concept scores
+    are kept in one sorted list per class (and one over all rows for the
+    black leg), so a rank is two bisections; the label leg ranks the newest
+    class mean from ``class_means`` over the label-measure scores. The counts
+    are the exact integers the transducers count, and scores are never NaN,
+    so the p-values are bit-identical to the transducers on the full prefix.
     """
     with_black = tau_black_src is not None
     with_label = label_measure is not None
@@ -128,25 +171,55 @@ def interleave(
     if not stream:
         raise ValueError("empty stream")
     cache = NnCache()
-    p_black = np.empty(len(stream)) if with_black else None
-    p_concept = np.empty(len(stream))
-    p_label = np.empty(len(stream)) if with_label else None
-    for k, _ in enumerate(cache.extend(stream)):
-        if with_black:
-            tau_black = tau_black_src.uniform_draw()
-        tau = tau_src.uniform_draw()
-        if with_label:
-            tau_prime = tau_prime_src.uniform_draw()
+    taus = _tau_draws((tau_black_src, tau_src, tau_prime_src if with_label else None), len(stream))
+    tau_black, tau, tau_prime = taus
+    p_black, p_concept, p_label = (None if t is None else np.empty(len(stream)) for t in taus)
+    # the concept score of each row, and the label-measure scores
+    concept_scores: list[float] = []
+    label_scores = np.empty(len(stream)) if with_label else None
+    # the concept scores of each class id, and of all rows, in sorted lists
+    by_class: list[list[float]] = []
+    overall: list[float] = []
+    for k, changed in enumerate(cache.extend(stream)):
         labels = cache.labels
-        concept_scores = score_nn(concept_measure, cache)
-        if with_black:
-            p_black[k] = p_conformal(concept_scores, tau_black)
-        p_concept[k] = p_label_conditional(concept_scores, labels, tau)
+        rows = np.concatenate((changed, (k,)))
+        d_same = cache.d_same[rows]
+        d_other = cache.d_other[rows]
+        scores = nn_scores(concept_measure, d_same, d_other)
         if with_label:
-            if label_measure == concept_measure:
-                raw = concept_scores
+            if label_measure != concept_measure:
+                label_scores[rows] = nn_scores(label_measure, d_same, d_other)
             else:
-                raw = score_nn(label_measure, cache)
-            p_label[k] = p_conformal(label_average(raw, labels), tau_prime)
+                label_scores[rows] = scores
+        scores = scores.tolist()
+        for i, y, after in zip(changed.tolist(), labels[changed].tolist(), scores):
+            before = concept_scores[i]
+            if before != after:
+                concept_scores[i] = after
+                _move(by_class[y], before, after)
+                if with_black:
+                    _move(overall, before, after)
+        score = scores[-1]
+        y = int(labels[k])
+        # class ids are dense in order of arrival, so a new class takes the next
+        if y == len(by_class):
+            by_class.append([])
+        concept_scores.append(score)
+        insort(by_class[y], score)
+        if with_black:
+            insort(overall, score)
+            p_black[k] = _rank(overall, score, tau_black[k])
+        p_concept[k] = _rank(by_class[y], score, tau[k])
+        if with_label:
+            means, counts = class_means(label_scores[: k + 1], labels)
+            means = means.tolist()
+            mean = means[y]
+            less = equal = 0
+            for m, c in zip(means, counts.tolist()):
+                if m < mean:
+                    less += c
+                elif m == mean:
+                    equal += c
+            p_label[k] = (less + tau_prime[k] * equal) / (k + 1)
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

@@ -463,3 +463,41 @@ def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
             read_trajectory_csv(str(path))
         assert main(["report", str(path)]) == EXIT_DATA
         assert capsys.readouterr().out == ""
+
+
+def test_run_command_reports_an_unwritable_output(tmp_path, capsys):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    target = tmp_path / "missing-dir" / "traj.csv"
+    assert main(["run", "--config", config_path, "--output", str(target)]) == EXIT_CONFIG
+    assert str(target) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json"]
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    assert main(["run", "--config", config_path, "--output", str(occupied)]) == EXIT_CONFIG
+    assert str(occupied) in capsys.readouterr().err
+    assert list(occupied.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", occupied]
+
+
+def test_sweep_rejects_an_out_dir_that_is_a_file(tmp_path, capsys):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    regular = tmp_path / "taken"
+    regular.write_text("keep me\n")
+    argv = ["sweep", "--config", config_path, "--seeds", "2", "--out-dir", str(regular)]
+    assert main(argv + ["--workers", "1"]) == EXIT_CONFIG
+    assert str(regular) in capsys.readouterr().err
+    assert regular.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("value", [0, True, None, ["a"]], ids=["int", "bool", "null", "list"])
+@pytest.mark.parametrize("field", ["train_path", "test_path"])
+def test_usps_paths_must_be_strings(tmp_path, capsys, usps_files, field, value):
+    raw = scenario_config_dict()
+    raw["data"] = {"kind": "usps", "train_path": usps_files[0], "test_path": usps_files[1]}
+    raw["data"][field] = value
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(raw)
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err

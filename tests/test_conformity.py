@@ -66,10 +66,15 @@ def assert_same_state(cache, reference, context):
 
 def extend_in_lockstep(cache, stream, reference, context):
     """Extend ``cache`` and insert the same stream one at a time into
-    ``reference``, requiring equal states after every yield."""
-    for k, _ in enumerate(cache.extend(stream)):
+    ``reference``, requiring equal states after every yield, and that each
+    yield names exactly the earlier rows whose minima the insertion lowered."""
+    d_same, d_other = cache.d_same.copy(), cache.d_other.copy()
+    for k, changed in enumerate(cache.extend(stream)):
         reference.insert(stream[k])
         assert_same_state(cache, reference, f"{context}, step {k}")
+        lowered = (cache.d_same[:-1] != d_same) | (cache.d_other[:-1] != d_other)
+        assert np.array_equal(changed, np.flatnonzero(lowered)), f"{context}, step {k}"
+        d_same, d_other = cache.d_same.copy(), cache.d_other.copy()
 
 
 def block_streams():

@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftmart import (
+    NN_VARIANTS,
+    NnCache,
     Observation,
     RandomSource,
     ScenarioConfig,
     generate,
     interleave,
+    label_average,
     p_conformal,
     p_label_conditional,
+    score_nn,
 )
+from shiftmart.conformity import SCREEN_MIN_FLOATS
 
 from oracles import p_conformal_recount, p_label_conditional_recount
 
@@ -153,3 +158,82 @@ def test_shared_source_mode_draws_concept_leg_first():
     assert result.p_concept[0] == draws[0]
     assert result.p_concept[1] == draws[2]
     assert result.concept_provenance == result.label_provenance
+
+
+# --- incremental ranks against the per-step transducers ----------------------
+
+
+def _exactness_streams():
+    rng = np.random.default_rng(41)
+    n = 400
+    yield "iid (d=2, K=2)", rng.normal(size=(n, 2)), rng.integers(0, 2, size=n)
+    # 12 distinct points: zero distances give infinite scores, clamped class
+    # means and ties
+    atoms = rng.normal(size=(12, 2))
+    yield "duplicates", atoms[rng.integers(0, 12, size=n)], rng.integers(0, 2, size=n)
+    yield "lattice", rng.integers(0, 4, size=(n, 2)).astype(float), rng.integers(0, 3, size=n)
+    labels = rng.integers(0, 2, size=n)
+    labels[100] = 7
+    labels[350:] = rng.integers(2, 5, size=n - 350)
+    yield "singleton and late classes", rng.normal(size=(n, 3)), labels
+    assert n * 64 >= 2 * SCREEN_MIN_FLOATS
+    yield "iid (d=64, K=10)", rng.normal(size=(n, 64)), rng.integers(0, 10, size=n)
+
+
+def _reference_steps(stream):
+    """Per step: the labels and, per measure, the raw and class-averaged scores."""
+    cache = NnCache()
+    for obs in stream:
+        cache.insert(obs)
+        labels = cache.labels.copy()
+        raw = {m: score_nn(m, cache) for m in NN_VARIANTS}
+        yield labels, raw, {m: label_average(raw[m], labels) for m in NN_VARIANTS}
+
+
+def _reference_pvalues(steps, concept, label, tau_src, tau_prime_src, tau_black_src):
+    p_black, p_concept, p_label = [], [], []
+    for labels, raw, averaged in steps:
+        if tau_black_src is not None:
+            tau_black = tau_black_src.uniform_draw()
+        tau = tau_src.uniform_draw()
+        if label is not None:
+            tau_prime = tau_prime_src.uniform_draw()
+        if tau_black_src is not None:
+            p_black.append(p_conformal(raw[concept], tau_black))
+        p_concept.append(p_label_conditional(raw[concept], labels, tau))
+        if label is not None:
+            p_label.append(p_conformal(averaged[label], tau_prime))
+    return p_black, p_concept, p_label
+
+
+def _sources(seed, shared, with_black):
+    if shared:
+        src = RandomSource(seed, "shared")
+        return src, src, src if with_black else None
+    black = RandomSource(seed, "tau-black") if with_black else None
+    return RandomSource(seed, "tau"), RandomSource(seed, "tau-prime"), black
+
+
+@pytest.mark.parametrize("case", list(_exactness_streams()), ids=lambda case: case[0])
+def test_interleave_matches_the_per_step_transducers(case):
+    name, points, labels = case
+    stream = _stream(points, labels)
+    steps = list(_reference_steps(stream))
+    for concept in NN_VARIANTS:
+        for label in NN_VARIANTS + (None,):
+            for shared in (False, True):
+                for with_black in (False, True):
+                    context = f"{name}: {concept}/{label}, shared={shared}, black={with_black}"
+                    result = interleave(stream, concept, label, *_sources(7, shared, with_black))
+                    p_black, p_concept, p_label = _reference_pvalues(
+                        steps, concept, label, *_sources(7, shared, with_black)
+                    )
+                    assert np.array_equal(result.p_concept, p_concept), context
+                    if label is None:
+                        assert result.p_label is None, context
+                    else:
+                        assert np.array_equal(result.p_label, p_label), context
+                    if with_black:
+                        assert np.array_equal(result.p_black, p_black), context
+                    else:
+                        assert result.p_black is None, context
