@@ -28,7 +28,11 @@ mixture-power
     sufficient statistics, so a step costs O(1).
 
 Each strategy has one transition function, which ``bet_step`` and
-``run_martingale`` both call, so the two agree bit for bit.
+``run_martingale`` both call, so the two agree bit for bit. The jumper's
+takes one p-value; the mixture's maps a whole array of (bet count,
+sum of log p) pairs to capitals, in chunks of 128 rows, so
+``run_martingale`` bets on a whole p-value array in one pass and
+``bet_step`` calls it on one row.
 
 ``product_martingale`` multiplies two trajectories (adds them in log10);
 this is only a valid martingale when the legs were randomized from disjoint
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,6 +63,11 @@ _MIX_W = 0.5 * _GL_W
 _MIX_LOG_EPS = np.log(_MIX_EPS)
 _MIX_LOG_W = np.log(_MIX_W)
 _MIX_EPS_M1 = _MIX_EPS - 1.0
+# Rows of mixture terms evaluated at once: a (128, 64) float64 block is
+# 64 KiB. On a 1000-step leg in a warm process (2-CPU x86-64, numpy 2.4)
+# 128 rows took 1.29 ms, 16 rows 2.0 ms, 512 rows 1.28 ms and one
+# 1000-row block 1.54 ms.
+_MIX_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -118,13 +128,28 @@ def _jumper_step(shares, jump_rate, p):
     return (c_down / growth, c_hold / growth, c_up / growth), growth
 
 
-def _mixture_step(n_bets, log_p_sum, p):
-    """One mixture-power transition: (count, sum of log p, log10 capital)."""
-    n_bets += 1
-    log_p_sum += math.log(max(p, _MIXTURE_CLAMP))
-    terms = _MIX_LOG_W + n_bets * _MIX_LOG_EPS + _MIX_EPS_M1 * log_p_sum
-    top = float(terms.max())
-    return n_bets, log_p_sum, (top + math.log(np.exp(terms - top).sum())) / _LOG10
+def _mixture_log10_capital(n_bets, log_p_sums):
+    """log10 mixture-power capital for each (bet count, sum of clamped log p) pair.
+
+    Row i is the logsumexp of the 64 quadrature terms
+    log w + n_i log e + (e - 1) S_i, shifted by the row maximum; the sum of
+    the row is taken by numpy and its log by ``math.log``, so the bits do
+    not depend on numpy's SIMD log. The rows are evaluated
+    ``_MIX_CHUNK_ROWS`` at a time with ``exp`` in place, so no temporary
+    grows with the number of rows.
+    """
+    out = np.empty(log_p_sums.size)
+    for lo in range(0, out.size, _MIX_CHUNK_ROWS):
+        hi = lo + _MIX_CHUNK_ROWS
+        terms = np.multiply.outer(n_bets[lo:hi], _MIX_LOG_EPS)
+        terms += _MIX_LOG_W
+        terms += np.multiply.outer(log_p_sums[lo:hi], _MIX_EPS_M1)
+        top = terms.max(axis=1)
+        terms -= top[:, None]
+        np.exp(terms, out=terms)
+        log_sums = [math.log(s) for s in terms.sum(axis=1).tolist()]
+        out[lo:hi] = (top + log_sums) / _LOG10
+    return out
 
 
 def _check_p(p: float) -> float:
@@ -138,8 +163,12 @@ def bet_step(state: BettingState, p: float) -> BettingState:
     """Advance one strategy state by one p-value."""
     p = _check_p(p)
     if state.strategy_tag == "mixture-power":
-        n_bets, log_p_sum, capital = _mixture_step(state.n_bets, state.log_p_sum, p)
-        return replace(state, n_bets=n_bets, log_p_sum=log_p_sum, log10_capital=capital)
+        n_bets = state.n_bets + 1
+        log_p_sum = state.log_p_sum + math.log(max(p, _MIXTURE_CLAMP))
+        capital = _mixture_log10_capital(np.array([n_bets], np.float64), np.array([log_p_sum]))
+        return replace(
+            state, n_bets=n_bets, log_p_sum=log_p_sum, log10_capital=float(capital[0])
+        )
     shares, growth = _jumper_step(state.shares, state.jump_rate, p)
     return replace(
         state,
@@ -172,19 +201,37 @@ def run_martingale(
     fresh state the trajectory starts at exactly 0. ``provenance`` names the
     randomization substream behind the p-values, consulted by
     ``product_martingale``.
+
+    The p-values are converted to float64 once and checked in one pass; the
+    first one outside [0, 1] (or NaN) raises ValueError naming it. The
+    jumpers then loop over the values; the mixture takes the running sums
+    of the clamped logs in order and evaluates every capital in one chunked
+    pass. Every entry has the bits of the ``bet_step`` chain.
     """
-    p_values = list(p_values)
-    out = np.empty(len(p_values) + 1)
+    if not isinstance(p_values, np.ndarray):
+        p_values = list(p_values)
+    p_values = np.asarray(p_values, dtype=np.float64)
+    if p_values.ndim != 1:
+        raise ValueError(f"p-values must form a 1-D sequence, got shape {p_values.shape}")
+    in_range = (p_values >= 0.0) & (p_values <= 1.0)
+    if not in_range.all():
+        raise ValueError(
+            f"p-value must lie in [0, 1], got {float(p_values[np.argmin(in_range)])}"
+        )
+    ps = p_values.tolist()
+    out = np.empty(len(ps) + 1)
     out[0] = state.log10_capital
     if state.strategy_tag == "mixture-power":
-        n_bets, log_p_sum = state.n_bets, state.log_p_sum
-        for k, p in enumerate(p_values):
-            n_bets, log_p_sum, out[k + 1] = _mixture_step(n_bets, log_p_sum, _check_p(p))
+        log_ps = (math.log(max(p, _MIXTURE_CLAMP)) for p in ps)
+        log_p_sums = accumulate(log_ps, initial=state.log_p_sum)
+        log_p_sums = np.fromiter(log_p_sums, np.float64, len(ps) + 1)[1:]
+        n_bets = np.arange(state.n_bets + 1, state.n_bets + len(ps) + 1, dtype=np.float64)
+        out[1:] = _mixture_log10_capital(n_bets, log_p_sums)
     else:
         shares = state.shares
         log10_capital = state.log10_capital
-        for k, p in enumerate(p_values):
-            shares, growth = _jumper_step(shares, state.jump_rate, _check_p(p))
+        for k, p in enumerate(ps):
+            shares, growth = _jumper_step(shares, state.jump_rate, p)
             log10_capital += math.log10(growth)
             out[k + 1] = log10_capital
     return MartingaleTrajectory(out, provenance)
@@ -250,9 +297,7 @@ def _capital_fn(strategy, jump_rate, reluctance):
 
     def capital(ps):
         state = initial_state(strategy, jump_rate, reluctance)
-        for p in ps:
-            state = bet_step(state, p)
-        return 10.0 ** state.log10_capital
+        return 10.0 ** run_martingale(state, ps).final
 
     return capital
 

@@ -46,6 +46,8 @@ from .transducer import interleave
 USPS_DIM = 256
 USPS_FIELDS = USPS_DIM + 1
 _FEATURE_TOL = 1e-6
+# Largest |blue - (red + green)| a run may emit or a trajectory CSV may hold.
+_DECOMPOSITION_TOL = 1e-9
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,7 +323,7 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
         green = bet(legs.p_label, legs.label_provenance)
         blue = product_martingale(red, green, allow_shared=config.shared_randomization)
         log10_green, log10_blue = green.log10_values, blue.log10_values
-        if np.abs(log10_blue - (red.log10_values + log10_green)).max() > 1e-9:
+        if np.abs(log10_blue - (red.log10_values + log10_green)).max() > _DECOMPOSITION_TOL:
             raise InvariantViolation("product decomposition violated")
     return TrajectoryTable(
         legs.p_concept,
@@ -388,18 +390,30 @@ def write_trajectory_csv(table: TrajectoryTable, path: str) -> None:
 
 
 def read_trajectory_csv(path: str) -> TrajectoryTable:
-    """Parse a trajectory CSV back into a table (inverse of write)."""
+    """Parse a trajectory CSV back into a table (inverse of write).
+
+    Anything ``render_trajectory_csv`` could not have written raises
+    DataError naming the file: an ``n`` column other than 0, 1, ..., N,
+    p-value cells on row 0, a p-value outside [0, 1], a log10 value that is
+    not finite, a label leg with only some of its three columns, or a blue
+    column further than 1e-9 from red + green.
+    """
     try:
         with open(path, "r", encoding="ascii") as handle:
             lines = [line.rstrip("\n") for line in handle]
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise DataError(f"{path}: missing or wrong header")
     rows = [line.split(",") for line in lines[1:] if line]
     if not rows or any(len(r) != 7 for r in rows):
         raise DataError(f"{path}: malformed rows")
     n = len(rows) - 1
+    for k, row in enumerate(rows):
+        if row[0] != str(k):
+            raise DataError(f"{path}: expected n = {k}, got {row[0]!r}")
+    if rows[0][1] or rows[0][2]:
+        raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
 
     def column(idx, start):
         cells = [r[idx] for r in rows[start:]]
@@ -423,6 +437,25 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
     for name, p in (("p_concept", p_concept), ("p_label", p_label)):
         if p is not None and not ((p >= 0.0) & (p <= 1.0)).all():
             raise DataError(f"{path}: {name} holds a value outside [0, 1] or NaN")
+    label_leg = (p_label, log10_green, log10_blue)
+    if any(c is None for c in label_leg) and any(c is not None for c in label_leg):
+        raise DataError(
+            f"{path}: p_label, log10_green and log10_blue must be all filled or all empty"
+        )
+    for name, values in (
+        ("log10_black", log10_black),
+        ("log10_red", log10_red),
+        ("log10_green", log10_green),
+        ("log10_blue", log10_blue),
+    ):
+        if values is not None and not np.isfinite(values).all():
+            raise DataError(f"{path}: {name} holds a value that is not finite")
+    if log10_blue is not None:
+        gap = np.abs(log10_blue - (log10_red + log10_green)).max()
+        if gap > _DECOMPOSITION_TOL:
+            raise DataError(
+                f"{path}: log10_blue is {gap:.3g} away from log10_red + log10_green"
+            )
     return TrajectoryTable(
         p_concept, p_label, log10_black, log10_red, log10_green, log10_blue
     )

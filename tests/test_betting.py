@@ -1,5 +1,7 @@
 """Tests for the betting strategies, trajectories, products and validity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,55 @@ def test_run_martingale_agrees_with_bet_step_chain():
             chain.append(state.log10_capital)
         traj = run_martingale(initial_state(tag, jump_rate=0.01), ps)
         assert np.array_equal(traj.log10_values, chain)
+
+
+def _bet_step_chain(state, p_values):
+    chain = [state.log10_capital]
+    for p in p_values:
+        state = bet_step(state, p)
+        chain.append(state.log10_capital)
+    return np.array(chain)
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 1000])
+@pytest.mark.parametrize("tag", ["simple-jumper", "mixture-power"])
+def test_run_martingale_matches_bet_step_chain_bits_from_a_midstream_state(tag, n):
+    # 128 rows is the mixture's chunk, so 127-129 straddle a chunk edge
+    rng = np.random.default_rng(n)
+    start = initial_state(tag, jump_rate=0.01)
+    for p in rng.uniform(size=37):
+        start = bet_step(start, p)
+    ps = rng.uniform(size=n)
+    ps[::7] = 0.0
+    ps[3::11] = 1.0
+    traj = run_martingale(start, ps)
+    assert traj.log10_values.tobytes() == _bet_step_chain(start, ps).tobytes()
+    assert run_martingale(start, list(ps)).log10_values.tobytes() == traj.log10_values.tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+@pytest.mark.parametrize("tag", ["simple-jumper", "mixture-power"])
+def test_run_martingale_names_the_first_p_value_out_of_range(tag, bad):
+    ps = RandomSource(5, "p").uniform_draws(300)
+    ps[150] = bad
+    ps[200] = 2.5
+    with pytest.raises(ValueError, match=rf"got {bad}$"):
+        run_martingale(initial_state(tag), ps)
+
+
+def test_mixture_run_martingale_peak_memory_per_p_value():
+    # 128-row chunks keep the (rows, 64) terms at 64 KiB; one block over
+    # all 20 000 rows would peak near 1.6 KiB per p-value
+    ps = RandomSource(6, "p").uniform_draws(20_000)
+    state = initial_state("mixture-power")
+    run_martingale(state, ps[:10])
+    tracemalloc.start()
+    try:
+        run_martingale(state, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * ps.size
 
 
 def _mixture_power_reference(p_values):

@@ -1,6 +1,9 @@
 """Tests for USPS ingestion, experiment runs, CSV emission and the CLI."""
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import os
 import subprocess
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftmart import (
     ExperimentConfig,
@@ -221,12 +226,32 @@ def test_import_and_run_do_not_load_scipy():
         "run_experiment(ExperimentConfig(data=ScenarioConfig('iid', n_steps=30), seed=1))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def source_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "traj.csv"
+    raw = scenario_config_dict(output=str(out))
+    raw["data"]["n_steps"] = 20
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    command = [sys.executable, "-m", "shiftmart", "run", "--config", str(config)]
+    result = subprocess.run(command, env=source_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert read_trajectory_csv(str(out)).n_steps == 20
+    config.write_text(json.dumps([raw]))
+    result = subprocess.run(command, env=source_env(), capture_output=True, text=True)
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr.startswith("config error")
 
 
 # --- run_experiment --------------------------------------------------------------
@@ -463,6 +488,109 @@ def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
             read_trajectory_csv(str(path))
         assert main(["report", str(path)]) == EXIT_DATA
         assert capsys.readouterr().out == ""
+
+
+
+def written_csv_lines(tmp_path, n_steps=6, **overrides):
+    """A trajectory CSV written by ``run``, as its path and its lines."""
+    path = tmp_path / "table.csv"
+    config = iid_config(data=ScenarioConfig("iid", n_steps=n_steps), **overrides)
+    write_trajectory_csv(run_experiment(config), str(path))
+    return path, path.read_text().splitlines()
+
+
+def set_cell(lines, row, column, value):
+    """The lines with data row ``row`` (0 is the initial row) holding ``value``."""
+    fields = lines[row + 1].split(",")
+    fields[column] = value
+    return lines[: row + 1] + [",".join(fields)] + lines[row + 2 :]
+
+
+def assert_rejected(path, lines, capsys, match):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=match) as info:
+        read_trajectory_csv(str(path))
+    assert str(path) in str(info.value)
+    assert main(["report", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [3, 4, 5, 6], ids=["black", "red", "green", "blue"])
+def test_reader_rejects_non_finite_capital(tmp_path, capsys, column, value):
+    path, lines = written_csv_lines(tmp_path)
+    assert_rejected(path, set_cell(lines, 4, column, value), capsys, "not finite")
+
+
+@pytest.mark.parametrize("value", ["abc", "", "5", "3.0", " 3"])
+def test_reader_rejects_an_n_column_that_does_not_count(tmp_path, capsys, value):
+    path, lines = written_csv_lines(tmp_path)
+    assert_rejected(path, set_cell(lines, 3, 0, value), capsys, "expected n = 3")
+
+
+@pytest.mark.parametrize("column", [1, 2], ids=["p_concept", "p_label"])
+def test_reader_rejects_p_values_on_the_initial_row(tmp_path, capsys, column):
+    path, lines = written_csv_lines(tmp_path)
+    assert_rejected(path, set_cell(lines, 0, column, "0.5"), capsys, "row n=0")
+
+
+def test_reader_rejects_a_label_leg_without_its_trajectories(tmp_path, capsys):
+    path, lines = written_csv_lines(tmp_path)
+    for row in range(len(lines) - 1):
+        lines = set_cell(set_cell(lines, row, 5, ""), row, 6, "")
+    assert_rejected(path, lines, capsys, "all filled or all empty")
+
+
+def test_reader_rejects_blue_away_from_red_plus_green(tmp_path, capsys):
+    path, lines = written_csv_lines(tmp_path)
+    blue = float(lines[4].split(",")[6])
+    assert_rejected(path, set_cell(lines, 3, 6, repr(blue + 8.8)), capsys, "log10_blue")
+
+
+
+@functools.cache
+def valid_csv_lines():
+    table = run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=30)))
+    return tuple(render_trajectory_csv(table).splitlines())
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def mutated_csv_lines(draw):
+    lines = list(valid_csv_lines())
+    row = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["cell", "drop", "duplicate"]))
+    if action == "drop":
+        del lines[row]
+    elif action == "duplicate":
+        lines.insert(row, lines[row])
+    else:
+        fields = lines[row].split(",")
+        column = draw(st.integers(0, len(fields) - 1))
+        fields[column] = draw(st.sampled_from(["nan", "inf", "-inf", ""]) | st.text())
+        lines[row] = ",".join(fields)
+    return lines
+
+
+@given(mutated_csv_lines())
+@settings(max_examples=150, deadline=None)
+def test_report_on_a_mutated_csv_exits_cleanly(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "table.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", str(path)])
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("data error: ")
 
 
 def test_run_command_reports_an_unwritable_output(tmp_path, capsys):
