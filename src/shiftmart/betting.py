@@ -211,8 +211,6 @@ def run_martingale(
     if not isinstance(p_values, np.ndarray):
         p_values = list(p_values)
     p_values = np.asarray(p_values, dtype=np.float64)
-    if p_values.ndim != 1:
-        raise ValueError(f"p-values must form a 1-D sequence, got shape {p_values.shape}")
     in_range = (p_values >= 0.0) & (p_values <= 1.0)
     if not in_range.all():
         raise ValueError(
