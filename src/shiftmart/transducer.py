@@ -18,15 +18,18 @@ interleaved p-values behave as independent uniforms, which is what makes the
 product of the concept and label test martingales a valid exchangeability
 martingale. Adding an observation changes the nearest-neighbour scores of
 earlier observations, so every step rescores exactly the rows whose
-distances that insertion lowered, and the new row; the ranks then come from
-sorted score lists and class means and equal those of the two transducers on
-the full prefix, bit for bit.
+distances that insertion lowered, and the new row. Those rows are scored in
+batches of steps, one ``nn_scores`` call per measure and batch, and the class
+means come from one ``np.bincount`` a step; the ranks then come from sorted
+score lists and class means and equal those of the two transducers on the
+full prefix, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +113,67 @@ def _tau_draws(sources: Sequence[RandomSource | None], steps: int) -> list[np.nd
     return [None if src is None else next(columns[id(src)]) for src in sources]
 
 
+# Steps whose rows ``interleave`` scores together, with one ``nn_scores`` call
+# per measure. Interleaving 1000 points (d = 2, K = 2, two measures and the
+# black leg) in a warm process took 27.5 ms with batches of 1, 20.9 ms with 8,
+# 20.3 ms with 16 and 19.5 ms with 64; 2000 points with d = 256 and K = 10
+# took 97.8, 77.3, 76.4 and 74.2 ms (numpy 2.4 on a 2-vCPU x86 VM). Longer
+# batches gain little more, and the snapshots of a batch are a few KiB.
+_SCORE_BATCH = 16
+
+
+def _batches(cache: NnCache, stream: list[Observation]) -> Iterator[tuple]:
+    """Insert ``stream`` with ``cache.extend`` and yield it in batches of up to
+    ``_SCORE_BATCH`` steps.
+
+    A batch is its first step, the number of rows of each step, the rows of
+    every step in order (those whose minima the step's insertion lowered,
+    then the new row) and their ``d_same`` and ``d_other`` as they stood at
+    that step. While a batch is out, the cache holds the stream up to its
+    last step.
+    """
+    start = 0
+    rows, d_same, d_other = [], [], []
+    for k, changed in enumerate(cache.extend(stream)):
+        step_rows = np.concatenate((changed, (k,)))
+        rows.append(step_rows)
+        d_same.append(cache.d_same[step_rows])
+        d_other.append(cache.d_other[step_rows])
+        if len(rows) == _SCORE_BATCH or k + 1 == len(stream):
+            sizes = [r.size for r in rows]
+            rows = np.concatenate(rows).tolist()
+            yield start, sizes, rows, np.concatenate(d_same), np.concatenate(d_other)
+            start = k + 1
+            rows, d_same, d_other = [], [], []
+
+
+def _rank_class_mean(
+    scores: np.ndarray, labels: np.ndarray, counts: list[int], y: int, tau: float
+) -> float:
+    """``p_conformal`` of class ``y``'s mean among the class-averaged ``scores``.
+
+    ``labels`` are dense class ids and ``counts`` the size of each class, all
+    at least 1. The sums come from the ``np.bincount`` call that
+    ``class_means`` makes, and the Python ``s / c`` is the same IEEE division
+    as its ``sums / np.maximum(counts, 1)``, so the means are those of
+    ``class_means`` bit for bit. A step with a sum that is not finite takes
+    the means from ``class_means`` itself, which holds the clamp.
+    """
+    sums = np.bincount(labels, weights=scores).tolist()
+    if all(map(math.isfinite, sums)):
+        means = [s / c for s, c in zip(sums, counts)]
+    else:
+        means = class_means(scores, labels)[0].tolist()
+    mean = means[y]
+    less = equal = 0
+    for m, c in zip(means, counts):
+        if m < mean:
+            less += c
+        elif m == mean:
+            equal += c
+    return (less + tau * equal) / len(labels)
+
+
 @dataclass(frozen=True, eq=False)
 class InterleavedPValues:
     """Per-step p-values of the legs plus randomization provenance.
@@ -154,13 +218,20 @@ def interleave(
     disjoint substreams. They are drawn for the whole stream up front, which
     gives the same values.
 
-    Each step rescores with ``nn_scores`` only the rows that
-    ``NnCache.extend`` yields as changed, and the new row. The concept scores
-    are kept in one sorted list per class (and one over all rows for the
-    black leg), so a rank is two bisections; the label leg ranks the newest
-    class mean from ``class_means`` over the label-measure scores. The counts
-    are the exact integers the transducers count, and scores are never NaN,
-    so the p-values are bit-identical to the transducers on the full prefix.
+    Each step rescores only the rows that ``NnCache.extend`` yields as
+    changed, and the new row. Their ``d_same`` and ``d_other`` are recorded
+    at each step, and every ``_SCORE_BATCH`` steps (and at the end of the
+    stream) one ``nn_scores`` call per measure scores the recorded rows of
+    all those steps; ``nn_scores`` is elementwise, so each score is the one
+    its step would have computed. The steps are then replayed in order. The
+    concept scores are kept in one sorted list per class (and one over all
+    rows for the black leg), so a rank is two bisections. The label leg
+    ranks the newest class mean among the class means: the class sizes are
+    Python ints, the sums come from one ``np.bincount`` over the
+    label-measure scores of the prefix, and the means are those of
+    ``class_means`` (see ``_rank_class_mean``). The counts are the exact
+    integers the transducers count, and scores are never NaN, so the
+    p-values are bit-identical to the transducers on the full prefix.
     """
     with_black = tau_black_src is not None
     with_label = label_measure is not None
@@ -172,54 +243,54 @@ def interleave(
         raise ValueError("empty stream")
     cache = NnCache()
     taus = _tau_draws((tau_black_src, tau_src, tau_prime_src if with_label else None), len(stream))
-    tau_black, tau, tau_prime = taus
     p_black, p_concept, p_label = (None if t is None else np.empty(len(stream)) for t in taus)
-    # the concept score of each row, and the label-measure scores
+    tau_black, tau, tau_prime = (None if t is None else t.tolist() for t in taus)
+    # the class id and concept score of each row, and the label-measure scores
+    row_class: list[int] = []
     concept_scores: list[float] = []
     label_scores = np.empty(len(stream)) if with_label else None
-    # the concept scores of each class id, and of all rows, in sorted lists
+    # the concept scores of each class id, and of all rows, in sorted lists;
+    # the size of each class
     by_class: list[list[float]] = []
     overall: list[float] = []
-    for k, changed in enumerate(cache.extend(stream)):
+    counts: list[int] = []
+    for start, sizes, rows, d_same, d_other in _batches(cache, stream):
         labels = cache.labels
-        rows = np.concatenate((changed, (k,)))
-        d_same = cache.d_same[rows]
-        d_other = cache.d_other[rows]
-        scores = nn_scores(concept_measure, d_same, d_other)
-        if with_label:
-            if label_measure != concept_measure:
-                label_scores[rows] = nn_scores(label_measure, d_same, d_other)
-            else:
-                label_scores[rows] = scores
-        scores = scores.tolist()
-        for i, y, after in zip(changed.tolist(), labels[changed].tolist(), scores):
-            before = concept_scores[i]
-            if before != after:
-                concept_scores[i] = after
-                _move(by_class[y], before, after)
-                if with_black:
-                    _move(overall, before, after)
-        score = scores[-1]
-        y = int(labels[k])
-        # class ids are dense in order of arrival, so a new class takes the next
-        if y == len(by_class):
-            by_class.append([])
-        concept_scores.append(score)
-        insort(by_class[y], score)
-        if with_black:
-            insort(overall, score)
-            p_black[k] = _rank(overall, score, tau_black[k])
-        p_concept[k] = _rank(by_class[y], score, tau[k])
-        if with_label:
-            means, counts = class_means(label_scores[: k + 1], labels)
-            means = means.tolist()
-            mean = means[y]
-            less = equal = 0
-            for m, c in zip(means, counts.tolist()):
-                if m < mean:
-                    less += c
-                elif m == mean:
-                    equal += c
-            p_label[k] = (less + tau_prime[k] * equal) / (k + 1)
+        row_class += labels[start : start + len(sizes)].tolist()
+        scores = nn_scores(concept_measure, d_same, d_other).tolist()
+        if label_measure == concept_measure:
+            label_batch = scores
+        elif with_label:
+            label_batch = nn_scores(label_measure, d_same, d_other).tolist()
+        end = 0
+        for k, size in enumerate(sizes, start):
+            begin, end = end, end + size
+            # the rows whose minima step k lowered, then row k itself
+            for i, after in zip(rows[begin : end - 1], scores[begin : end - 1]):
+                before = concept_scores[i]
+                if before != after:
+                    concept_scores[i] = after
+                    _move(by_class[row_class[i]], before, after)
+                    if with_black:
+                        _move(overall, before, after)
+            score = scores[end - 1]
+            y = row_class[k]
+            # class ids are dense in order of arrival, so a new class takes the next
+            if y == len(by_class):
+                by_class.append([])
+                counts.append(0)
+            concept_scores.append(score)
+            insort(by_class[y], score)
+            if with_black:
+                insort(overall, score)
+                p_black[k] = _rank(overall, score, tau_black[k])
+            p_concept[k] = _rank(by_class[y], score, tau[k])
+            if with_label:
+                for i, s in zip(rows[begin:end], label_batch[begin:end]):
+                    label_scores[i] = s
+                counts[y] += 1
+                p_label[k] = _rank_class_mean(
+                    label_scores[: k + 1], labels[: k + 1], counts, y, tau_prime[k]
+                )
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

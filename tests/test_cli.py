@@ -204,6 +204,31 @@ def test_run_command_rejects_mistyped_config_values(
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize(
+    "entry", [None, "nan", "0.5", True], ids=["null", "nan-string", "number-string", "bool"]
+)
+def test_run_command_rejects_a_transition_entry_that_is_not_a_number(
+    tmp_path, monkeypatch, capsys, entry
+):
+    # each row would sum to 1 if the entry were read as 0.5 (or 1.0 for true
+    # in the first column); NaN from null or "nan" used to pass the row sums
+    monkeypatch.chdir(tmp_path)
+    raw = scenario_config_dict()
+    row = [0.0, entry] if entry is True else [0.5, entry]
+    raw["data"] = {
+        "kind": "scenario",
+        "scenario": "markov-labels",
+        "n_steps": 20,
+        "label_transition": [row, [0.5, 0.5]],
+    }
+    config_path = write_config(tmp_path, raw)
+    assert main(["run", "--config", config_path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label_transition" in captured.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_config_accepts_markov_transition_lists():
     config = config_from_dict(
         {
@@ -225,6 +250,22 @@ def test_import_and_run_do_not_load_scipy():
         "from shiftmart import ExperimentConfig, ScenarioConfig, run_experiment\n"
         "run_experiment(ExperimentConfig(data=ScenarioConfig('iid', n_steps=30), seed=1))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_import_and_run_do_not_load_the_process_pool():
+    # only sweep fans out over processes; the pool's modules cost set-up time
+    code = (
+        "import sys\n"
+        "import shiftmart\n"
+        "from shiftmart import ExperimentConfig, ScenarioConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(data=ScenarioConfig('iid', n_steps=30), seed=1))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True
@@ -430,6 +471,30 @@ def test_report_command_emits_json(tmp_path, capsys):
     assert set(report) == {"p_concept", "p_label", "pair"}
     assert report["p_concept"]["sample_count"] == 40
     assert report["pair"]["chisq_stat"] is not None
+
+
+def test_report_defaults_to_the_columns_a_run_without_label_leg_has(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    raw = scenario_config_dict(output=str(out), label_measure=None)
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_OK
+    assert main(["report", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert set(report) == {"p_concept"}
+    assert report["p_concept"]["sample_count"] == 40
+
+
+@pytest.mark.parametrize("column", ["p_label", "both"])
+def test_report_of_an_absent_label_column_names_the_file(tmp_path, capsys, column):
+    out = tmp_path / "traj.csv"
+    raw = scenario_config_dict(output=str(out), label_measure=None)
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_OK
+    assert main(["report", "--column", column, str(out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+    assert "p_label" in captured.err
 
 
 def test_sweep_command_writes_per_seed_files(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the synthetic scenario generators and uniformity reports."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -126,6 +127,46 @@ def test_objects_are_conditionally_gaussian_around_their_class_mean():
         xs = np.array([o.x for o in stream if o.y == label])
         assert np.abs(xs.mean(axis=0) - means[label]).max() < 0.15
         assert np.abs(xs.std(axis=0) - 1.0).max() < 0.1
+
+
+# sha256 of the labels (int64) and objects (float64) of one 300-step stream
+# per scenario, seed 5; a faster generator must reproduce every bit
+_STREAM_PINS = {
+    "iid": (
+        ScenarioConfig("iid", n_steps=300, n_classes=3, dim=3),
+        "da7213eecfa2e22c76428cd1e3c0a64a335ec9c4842047a0fe32dba71b004f15",
+    ),
+    "concept-shift": (
+        ScenarioConfig("concept-shift", n_steps=300, changepoint=150),
+        "a38e006fecdb179b9ad879cec6e33e039c804bb3560908bd650c69d2008fee7e",
+    ),
+    "label-shift": (
+        ScenarioConfig(
+            "label-shift", n_steps=300, n_classes=4, dim=4, changepoint=100, shift_magnitude=1.5
+        ),
+        "c326186e50a72f4bff20591f96411be7fa2dda83129f620ed73d6891e36d6812",
+    ),
+    "markov-labels": (
+        ScenarioConfig(
+            "markov-labels",
+            n_steps=300,
+            n_classes=3,
+            dim=3,
+            label_transition=((0.1, 0.6, 0.3), (0.7, 0.2, 0.1), (1 / 3, 1 / 3, 1 / 3)),
+        ),
+        "a3e51d141a5cfe7f9f34aa38d22b09551231d3e547888d24c2b49f0de4c1f77e",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_STREAM_PINS))
+def test_streams_keep_their_bits(scenario):
+    config, pin = _STREAM_PINS[scenario]
+    digest = hashlib.sha256()
+    for obs in generate(config, RandomSource(5, "scenario")):
+        digest.update(np.int64(obs.y).tobytes())
+        digest.update(np.asarray(obs.x, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == pin
 
 
 def test_streams_are_observation_lists():

@@ -19,6 +19,7 @@ from shiftmart import (
     score_nn,
 )
 from shiftmart.conformity import SCREEN_MIN_FLOATS
+from shiftmart.transducer import _SCORE_BATCH
 
 from oracles import p_conformal_recount, p_label_conditional_recount
 
@@ -237,3 +238,48 @@ def test_interleave_matches_the_per_step_transducers(case):
                         assert np.array_equal(result.p_black, p_black), context
                     else:
                         assert result.p_black is None, context
+
+
+def _batch_edge_streams():
+    rng = np.random.default_rng(43)
+    for n in (1, _SCORE_BATCH - 1, _SCORE_BATCH, _SCORE_BATCH + 1, 25 * _SCORE_BATCH + 1):
+        yield f"length {n}", rng.normal(size=(n, 2)), rng.integers(0, 2, size=n), None
+    middle = _SCORE_BATCH + _SCORE_BATCH // 2
+    labels = rng.integers(0, 2, size=3 * _SCORE_BATCH)
+    labels[middle] = 2
+    yield "new class in mid-batch", rng.normal(size=(labels.size, 2)), labels, None
+    # Repeating a point of class 0 gives both copies d_same = 0, so infinite
+    # scores and a clamped class sum from then on. Class 1 is tight and far
+    # off, so its scores dwarf those of class 0: the clamped mean of class 0
+    # ranks below class 1, the unclamped one above it.
+    labels = rng.integers(0, 2, size=3 * _SCORE_BATCH)
+    labels[:2] = 0, 1
+    points = rng.normal(size=(labels.size, 2))
+    points[labels == 1] = 0.01 * points[labels == 1] + 5.0
+    labels[middle] = 0
+    points[middle] = points[0]
+    yield "infinite class sum in mid-batch", points, labels, middle
+
+
+@pytest.mark.parametrize("case", list(_batch_edge_streams()), ids=lambda case: case[0])
+def test_interleave_batches_match_the_per_step_transducers(case):
+    name, points, labels, first_infinite = case
+    stream = _stream(points, labels)
+    steps = list(_reference_steps(stream))
+    for concept, other in (("same-class", "ratio"), ("ratio", "nearest-object")):
+        if first_infinite is not None:
+            finite = [
+                np.isfinite(np.bincount(y, weights=raw[measure])).all()
+                for y, raw, _ in steps
+                for measure in (concept, other)
+            ]
+            assert finite.index(False) // 2 == first_infinite
+        for label in (concept, other):
+            context = f"{name}: {concept}/{label}"
+            result = interleave(stream, concept, label, *_sources(11, False, True))
+            p_black, p_concept, p_label = _reference_pvalues(
+                steps, concept, label, *_sources(11, False, True)
+            )
+            assert np.array_equal(result.p_concept, p_concept), context
+            assert np.array_equal(result.p_label, p_label), context
+            assert np.array_equal(result.p_black, p_black), context
