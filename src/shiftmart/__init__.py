@@ -17,7 +17,6 @@ from .betting import (
     STRATEGY_TAGS,
     BettingState,
     MartingaleTrajectory,
-    QuadratureSpec,
     bet_step,
     check_betting_validity,
     initial_state,
@@ -64,7 +63,6 @@ __all__ = [
     "NN_VARIANTS",
     "NnCache",
     "Observation",
-    "QuadratureSpec",
     "RandomSource",
     "SCENARIOS",
     "STRATEGY_TAGS",

@@ -263,31 +263,6 @@ def product_martingale(
     return MartingaleTrajectory(a.log10_values + b.log10_values, provenance)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to integrate a strategy over its next p-value.
-
-    ``gauss-legendre`` evaluates the strategy as a black box at the rule's
-    nodes; it is exact for strategies polynomial in the next p-value (the
-    Jumper step is affine, so order 2 already is). ``power-moments`` is the
-    rule adapted to the power mixture: each quadrature component e*u**(e-1)
-    is integrated in closed form, which no sampling rule can do because for
-    small exponents almost all of the component's mass sits below the
-    smallest representable float.
-    """
-
-    rule: str = "gauss-legendre"
-    order: int = 2
-
-
-def _default_grid(strategy) -> QuadratureSpec:
-    if isinstance(strategy, str) and strategy == "mixture-power":
-        return QuadratureSpec("power-moments", _MIX_EPS.size)
-    if isinstance(strategy, str):
-        return QuadratureSpec("gauss-legendre", 2)
-    return QuadratureSpec("gauss-legendre", 8)
-
-
 def _capital_fn(strategy, jump_rate, reluctance):
     """Turn a strategy tag or callable into F: p-sequence -> capital."""
     if callable(strategy):
@@ -303,7 +278,6 @@ def _capital_fn(strategy, jump_rate, reluctance):
 def check_betting_validity(
     strategy,
     prefixes,
-    grid: QuadratureSpec | None = None,
     jump_rate: float = 0.001,
     reluctance: float = 0.01,
 ) -> float:
@@ -315,29 +289,27 @@ def check_betting_validity(
     mapping a p-value sequence to a capital. Returns the maximum absolute
     error; anything persistently above quadrature roundoff flags an invalid
     strategy.
-    """
-    if grid is None:
-        grid = _default_grid(strategy)
-    if grid.rule == "power-moments" and strategy != "mixture-power":
-        raise ValueError("power-moments quadrature applies to mixture-power only")
-    capital = _capital_fn(strategy, jump_rate, reluctance)
 
-    if grid.rule == "gauss-legendre":
-        nodes, weights = np.polynomial.legendre.leggauss(grid.order)
+    The rule of integration follows from the strategy. A Jumper step is
+    affine in the next p-value, so 2-point Gauss-Legendre is exact for the
+    jumper tags; a callable is evaluated as a black box at the nodes of
+    8-point Gauss-Legendre. For ``mixture-power`` each quadrature component
+    e*u**(e-1) is integrated in closed form, which no sampling rule can do
+    because for small exponents almost all of the component's mass sits
+    below the smallest representable float.
+    """
+    capital = _capital_fn(strategy, jump_rate, reluctance)
+    mixture = strategy == "mixture-power"
+    if not mixture:
+        nodes, weights = np.polynomial.legendre.leggauss(8 if callable(strategy) else 2)
         nodes = 0.5 * (nodes + 1.0)
         weights = 0.5 * weights
-    elif grid.rule != "power-moments":
-        raise ValueError(f"unknown quadrature rule {grid.rule!r}")
 
     worst = 0.0
     for prefix in prefixes:
         prefix = [float(p) for p in prefix]
         reference = capital(prefix)
-        if grid.rule == "gauss-legendre":
-            integral = sum(
-                w * capital(prefix + [u]) for u, w in zip(nodes, weights)
-            )
-        else:
+        if mixture:
             # Closed-form u-moment per mixture component: the integral of
             # u**(e-1) over [0, 1] is 1/e. Evaluated in the linear domain,
             # an arithmetic path independent of the logsumexp evaluation of
@@ -356,6 +328,10 @@ def check_betting_validity(
                     * np.exp((_MIX_EPS - 1.0) * log_p_total)
                     * moments
                 )
+            )
+        else:
+            integral = sum(
+                w * capital(prefix + [u]) for u, w in zip(nodes, weights)
             )
         worst = max(worst, abs(integral - reference))
     return worst

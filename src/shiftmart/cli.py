@@ -175,17 +175,7 @@ class ExperimentConfig:
             raise ConfigError(f"output must be a path string or null, got {self.output!r}")
 
 
-_CONFIG_KEYS = {
-    "data",
-    "concept_measure",
-    "label_measure",
-    "strategy",
-    "jump_rate",
-    "reluctance",
-    "seed",
-    "shared_randomization",
-    "output",
-}
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -559,6 +549,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# ``report`` histograms pairs of p-values on a bins x bins grid, so the cap
+# keeps that grid at 10**6 cells (8 MB); 200000 bins would ask for 298 GiB.
+_MAX_BINS = 1000
+
+
+def _bin_count(text: str) -> int:
+    """argparse type for ``--bins``: an integer from 1 to ``_MAX_BINS``, else exit code 2."""
+    value = _positive_int(text)
+    if value > _MAX_BINS:
+        raise argparse.ArgumentTypeError(f"expected at most {_MAX_BINS} bins, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftmart",
@@ -598,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("p_concept", "p_label", "both"),
         help="p-value column to report (default: every one the file has)",
     )
-    report.add_argument("--bins", type=_positive_int, default=10)
+    report.add_argument("--bins", type=_bin_count, default=10)
     report.set_defaults(func=_cmd_report)
     return parser
 

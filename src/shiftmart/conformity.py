@@ -4,7 +4,9 @@ Four scoring variants are supported, all functions of two per-point
 quantities that :class:`NnCache` maintains incrementally while the stream
 grows: the Euclidean distance ``d_same`` to the nearest point with the same
 label (the point itself excluded) and the distance ``d_other`` to the nearest
-point with any other label.
+point with any other label. ``NnCache.extend`` inserts a whole stream and
+returns, for every step, the rows whose distances that insertion lowered
+and their new distances, so a caller rescores only those rows.
 
     ratio                       d_other / d_same
     ratio-squared-denominator   d_other / d_same**2
@@ -33,7 +35,7 @@ scores).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sized
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -64,7 +66,9 @@ SCREEN_MIN_FLOATS = 4096
 # b points makes a few b x n float temporaries. Interleaving 2000 points of
 # d = 256 with 10 classes in a warm process took 0.33 to 0.42 s with blocks
 # of 8 and 0.25 to 0.33 s with blocks of 16 and 32, and the peak memory of
-# the three differed by less than 0.2 MiB.
+# the three differed by less than 0.2 MiB. A block is also one record of
+# ``extend``, whose rows ``interleave`` scores with one ``nn_scores`` call per
+# measure.
 _BLOCK = 16
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -78,25 +82,25 @@ class NnCache:
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` inserts a stream in blocks of
-    up to ``_BLOCK`` points and yields after each insertion the stored rows
-    whose minima it lowered; ``insert`` is a block of one. Small blocks and caches evaluate the formula on every
-    pair of a new point and an earlier one. Once a block's product with the
-    stored rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix
-    product screens the stored rows against the whole block with an
-    approximate squared distance and a rigorous bound on its error, and the
-    formula is evaluated only on the few pairs that could change a minimum
-    (see ``extend``). On a 2000-point IID stream with d = 256 and 10 classes
-    (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), ``extend`` took
-    0.11 to 0.15 s in a warm process and one ``insert`` per point 0.46 to
-    0.48 s. Labels are stored as dense class ids, so memory does not depend
-    on the label values. The cache is single-owner and mutable; scoring
-    reads are safe between insertions.
+    up to ``_BLOCK`` points and returns, for every step, the rows whose
+    minima it changed; ``insert`` is a stream of one. Small blocks and caches
+    evaluate the formula on every pair of a new point and an earlier one.
+    Once a block's product with the stored rows reaches ``SCREEN_MIN_FLOATS``
+    multiply-adds, that one matrix product screens the stored rows against
+    the whole block with an approximate squared distance and a rigorous bound
+    on its error, and the formula is evaluated only on the few pairs that
+    could change a minimum (see ``_screen``). On a 2000-point IID stream with
+    d = 256 and 10 classes (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86
+    VM), ``extend`` took 0.11 to 0.15 s in a warm process and one ``insert``
+    per point 0.46 to 0.48 s. Labels are stored as dense class ids, so memory
+    does not depend on the label values. The cache is single-owner and
+    mutable.
     """
 
-    def __init__(self, dim: int | None = None):
-        self._dim = None if dim is None else int(dim)
+    def __init__(self):
+        self._dim: int | None = None
         self._n = 0
-        self._x: np.ndarray | None = None
+        self._x = np.empty((0, 0))
         self._norms = np.empty(0)
         self._labels = np.empty(0, dtype=np.int64)
         # row 0: distance to the nearest same-label point, row 1: other label
@@ -157,39 +161,120 @@ class NnCache:
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
 
-        The same as ``extend`` over a block of one. Raises ValueError when the
+        ``extend([obs])`` with its record ignored. Raises ValueError when the
         object dimension does not match the cache (the first insertion fixes
-        the dimension if it was not given). A block of one pays the block's
-        fixed cost on every point; for a stream, ``extend`` is about 3x
-        faster (see the class docstring).
+        the dimension). A stream of one pays a block's fixed cost on every
+        point; for a stream, ``extend`` is about 3x faster (see the class
+        docstring).
         """
-        for _ in self._insert_block([self._checked(obs)], [int(obs.y)], 1):
-            pass
+        self.extend([obs])
 
-    def extend(self, observations: Iterable[Observation]) -> Iterator[np.ndarray]:
-        """Insert observations in order, yielding once after each insertion.
+    def extend(self, observations: Iterable[Observation]) -> list[tuple]:
+        """Insert observations in order; return one record per block of steps.
 
-        Each yield is an ascending int array of the stored rows, the new row
-        excluded, whose ``d_same`` or ``d_other`` that insertion lowered;
-        every other row keeps its minima and so its scores. Between yields
-        the cache holds exactly the observations inserted so far, with the
-        same minima and class ids as one ``insert`` each; it must not be
-        changed while the generator is suspended. A generator
-        that is dropped early leaves that prefix behind. An observation whose
-        dimension does not match (ValueError) or whose label is not an
-        integer raises after the observations before it have been inserted
-        and yielded. A first fill from a sized collection reserves exactly
-        its length.
+        The observations are inserted in blocks of up to ``_BLOCK`` steps, and
+        each block's record is ``(sizes, rows, d_same, d_other)``. ``sizes``
+        lists the row count of each of its steps. ``rows`` holds each step's
+        rows in turn: the stored rows whose ``d_same`` or ``d_other`` that
+        insertion lowered, ascending, then the new row. ``d_same`` and
+        ``d_other`` are those rows' minima as they stood right after that
+        step. Every other row keeps its minima, and so its scores, at that
+        step. The minima and class ids are those of one ``insert`` each.
 
-        The observations are inserted in blocks of up to ``_BLOCK``. A block's
-        rows, labels and squared norms are written first; then the pairs
-        (j, i) of its j-th point and every row i before it that need an exact
-        distance are found, all the distances are computed in one call, and
-        the steps are committed one at a time. While the block's product with
-        the stored rows stays below ``SCREEN_MIN_FLOATS`` multiply-adds,
+        Every observation is checked before any is inserted. One whose
+        dimension does not match the cache, or the first observation of an
+        empty cache, raises ValueError, and a label that is not an integer
+        raises too; either way the cache is left exactly as it was, its
+        dimension included. The storage grows at most once per call.
+        """
+        dim = self._dim
+        xs, labels = [], []
+        for obs in observations:
+            x = np.asarray(obs.x, dtype=np.float64)
+            if dim is None:
+                dim = x.size
+            if x.size != dim:
+                raise ValueError(
+                    f"object dimension {x.size} does not match cache dimension {dim}"
+                )
+            xs.append(x)
+            labels.append(int(obs.y))
+        if not xs:
+            return []
+        self._dim = dim
+        n = self._n + len(xs)
+        capacity = self._x.shape[0]
+        if n > capacity:
+            self._reserve(max(n, 2 * capacity))
+        return [
+            self._insert_block(xs[i : i + _BLOCK], labels[i : i + _BLOCK])
+            for i in range(0, len(xs), _BLOCK)
+        ]
+
+    def _insert_block(self, xs: list, labels: list) -> tuple:
+        """Insert checked points into reserved storage; return their record.
+
+        The block's rows, labels and squared norms are written first. Then the
+        pairs (j, i) of its j-th point and every row i before it that need an
+        exact distance are found, all the distances are computed in one call,
+        and the steps are committed one at a time. While the block's product
+        with the stored rows stays below ``SCREEN_MIN_FLOATS`` multiply-adds,
         every pair is exact. From there on, the pairs with an earlier point
-        of the same block are always exact, and the pairs with the n0 rows
-        stored before the block pass a screen:
+        of the same block are always exact, and the pairs with the rows
+        stored before the block pass ``_screen``.
+
+        Commit. A step writes a distance only where it is below the current
+        minimum, and those rows, then the new one, are the step's rows in the
+        record, gathered with their minima right after the write.
+        Observations are finite, so a distance is finite or +inf and never
+        NaN, and the write is bit for bit what ``np.minimum`` would store.
+        """
+        b = len(xs)
+        n0 = self._n
+        n = n0 + b
+        x = self._x
+        x[n0:n] = xs
+        class_ids = self._class_ids
+        self._labels[n0:n] = [class_ids.setdefault(y, len(class_ids)) for y in labels]
+        for r in range(n0, n):
+            # vdot, unlike @, does not warn when the norm overflows to inf,
+            # which only makes pairs candidates (see the screen)
+            self._norms[r] = np.vdot(x[r], x[r])
+        # the j-th point of the block meets rows n0 + j - 1 and before
+        pairs = np.arange(n) < np.arange(n0, n)[:, None]
+        if b * n0 * self._dim >= SCREEN_MIN_FLOATS:
+            self._screen(n0, n, pairs[:, :n0])
+        steps, rows = np.divmod(np.flatnonzero(pairs), n)
+        points = n0 + steps
+        diff = x[rows] - x[points]
+        diff *= diff
+        dist = np.sqrt(diff.sum(axis=1))
+        # 0 where the labels match, 1 where they differ: the row of _nearest.
+        # Flat indices take a faster path in numpy than pairs of indices.
+        kind = self._labels[rows] != self._labels[points]
+        nearest = self._nearest
+        flat = nearest.reshape(-1)
+        capacity = nearest.shape[1]
+        # each row of the block starts from its minima over the rows before it
+        nearest[:, n0:n] = np.inf
+        np.minimum.at(flat, kind * capacity + points, dist)
+        cells = kind * capacity + rows
+        bounds = np.searchsorted(steps, np.arange(b + 1)).tolist()
+        step_rows, minima = [], []
+        for j, r in enumerate(range(n0, n)):
+            seg = slice(bounds[j], bounds[j + 1])
+            step_cells, step_dist = cells[seg], dist[seg]
+            lower = step_dist < flat[step_cells]
+            flat[step_cells[lower]] = step_dist[lower]
+            changed = np.concatenate((rows[seg][lower], (r,)))
+            step_rows.append(changed)
+            minima.append(nearest[:, changed])
+        self._n = n
+        d_same, d_other = np.concatenate(minima, axis=1)
+        return [r.size for r in step_rows], np.concatenate(step_rows), d_same, d_other
+
+    def _screen(self, n0: int, n: int, out: np.ndarray) -> None:
+        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0.
 
         Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
         and t_j = ||x_j||**2, one product of the block with the stored rows
@@ -240,90 +325,7 @@ class NnCache:
         NaN or infinite approximation, e.g. from squared norms that overflow
         for entries near 1e154, makes the pair a candidate. The exact
         formula is then applied to the candidates only, as for a small cache.
-
-        Commit. A step writes a distance only where it is below the current
-        minimum, and those rows are the ones it yields. Observations are
-        finite, so a distance is finite or +inf and never NaN, and the write
-        is bit for bit what ``np.minimum`` would store.
         """
-        total = len(observations) if isinstance(observations, Sized) else 0
-        xs, ys = [], []
-        for obs in observations:
-            try:
-                x = self._checked(obs)
-                y = int(obs.y)
-            except (TypeError, ValueError):
-                yield from self._insert_block(xs, ys, total)
-                raise
-            xs.append(x)
-            ys.append(y)
-            if len(xs) == _BLOCK:
-                yield from self._insert_block(xs, ys, total)
-                xs, ys = [], []
-        yield from self._insert_block(xs, ys, total)
-
-    def _checked(self, obs: Observation) -> np.ndarray:
-        x = np.asarray(obs.x, dtype=np.float64)
-        if self._dim is None:
-            self._dim = x.size
-        if x.size != self._dim:
-            raise ValueError(
-                f"object dimension {x.size} does not match cache dimension {self._dim}"
-            )
-        return x
-
-    def _insert_block(self, xs: list, labels: list, total: int) -> Iterator[np.ndarray]:
-        b = len(xs)
-        if not b:
-            return
-        n0 = self._n
-        n = n0 + b
-        if self._x is None:
-            self._reserve(max(n, total))
-        elif n > self._x.shape[0]:
-            self._reserve(max(n, 2 * self._x.shape[0]))
-        x = self._x
-        x[n0:n] = xs
-        class_ids = dict(self._class_ids)
-        ys = [class_ids.setdefault(y, len(class_ids)) for y in labels]
-        self._labels[n0:n] = ys
-        for r in range(n0, n):
-            # vdot, unlike @, does not warn when the norm overflows to inf,
-            # which only makes pairs candidates (see the screen)
-            self._norms[r] = np.vdot(x[r], x[r])
-        # the j-th point of the block meets rows n0 + j - 1 and before
-        pairs = np.arange(n) < np.arange(n0, n)[:, None]
-        if b * n0 * self._dim >= SCREEN_MIN_FLOATS:
-            self._screen(n0, n, pairs[:, :n0])
-        steps, rows = np.divmod(np.flatnonzero(pairs), n)
-        points = n0 + steps
-        diff = x[rows] - x[points]
-        diff *= diff
-        dist = np.sqrt(diff.sum(axis=1))
-        # 0 where the labels match, 1 where they differ: the row of _nearest.
-        # Flat indices take a faster path in numpy than pairs of indices.
-        kind = self._labels[rows] != self._labels[points]
-        nearest = self._nearest
-        flat = nearest.reshape(-1)
-        capacity = nearest.shape[1]
-        # each row of the block starts from its minima over the rows before it
-        nearest[:, n0:n] = np.inf
-        np.minimum.at(flat, kind * capacity + points, dist)
-        cells = kind * capacity + rows
-        bounds = np.searchsorted(steps, np.arange(b + 1)).tolist()
-        for j, r in enumerate(range(n0, n)):
-            seg = slice(bounds[j], bounds[j + 1])
-            step_cells, step_dist = cells[seg], dist[seg]
-            lower = step_dist < flat[step_cells]
-            flat[step_cells[lower]] = step_dist[lower]
-            self._class_ids.setdefault(labels[j], ys[j])
-            self._n = r + 1
-            yield rows[seg][lower]
-            if self._n != r + 1:
-                raise RuntimeError("the cache was changed while extend was suspended")
-
-    def _screen(self, n0: int, n: int, out: np.ndarray) -> None:
-        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0."""
         x = self._x
         scale = 8.0 * (self._dim + 4)
         s = self._norms[:n0]

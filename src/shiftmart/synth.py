@@ -116,8 +116,9 @@ class ScenarioConfig:
                 raise ValueError("label_transition rows must sum to 1")
 
 
-def class_means(n_classes: int, dim: int) -> np.ndarray:
-    """Per-class means: scaled basis vectors with pairwise distance 4."""
+def class_centres(n_classes: int, dim: int) -> np.ndarray:
+    """Per-class centres, the means of the object distributions: scaled basis
+    vectors with pairwise distance 4."""
     if dim < n_classes:
         raise ValueError("dim must be at least n_classes")
     means = np.zeros((n_classes, dim))
@@ -140,7 +141,7 @@ def _skewed_marginals(n_classes: int, magnitude: float) -> np.ndarray:
 def generate(config: ScenarioConfig, source: RandomSource) -> list[Observation]:
     """Materialize one stream. Pure given (config, source)."""
     k = config.n_classes
-    means = class_means(k, config.dim)
+    means = class_centres(k, config.dim)
     uniform_cum = np.cumsum(np.full(k, 1.0 / k)).tolist()
     shift_direction = np.full(config.dim, 1.0 / np.sqrt(config.dim))
 

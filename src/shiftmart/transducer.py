@@ -18,18 +18,18 @@ interleaved p-values behave as independent uniforms, which is what makes the
 product of the concept and label test martingales a valid exchangeability
 martingale. Adding an observation changes the nearest-neighbour scores of
 earlier observations, so every step rescores exactly the rows whose
-distances that insertion lowered, and the new row. Those rows are scored in
-batches of steps, one ``nn_scores`` call per measure and batch, and the class
-means come from one ``np.bincount`` a step; the ranks then come from sorted
-score lists and class means and equal those of the two transducers on the
-full prefix, bit for bit.
+distances that insertion lowered, and the new row. ``NnCache.extend`` logs
+those rows block by block, each block's rows are scored with one
+``nn_scores`` call per measure, and the class means come from one
+``np.bincount`` a step; the ranks then come from sorted score lists and class
+means and equal those of the two transducers on the full prefix, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,40 +113,6 @@ def _tau_draws(sources: Sequence[RandomSource | None], steps: int) -> list[np.nd
     return [None if src is None else next(columns[id(src)]) for src in sources]
 
 
-# Steps whose rows ``interleave`` scores together, with one ``nn_scores`` call
-# per measure. Interleaving 1000 points (d = 2, K = 2, two measures and the
-# black leg) in a warm process took 27.5 ms with batches of 1, 20.9 ms with 8,
-# 20.3 ms with 16 and 19.5 ms with 64; 2000 points with d = 256 and K = 10
-# took 97.8, 77.3, 76.4 and 74.2 ms (numpy 2.4 on a 2-vCPU x86 VM). Longer
-# batches gain little more, and the snapshots of a batch are a few KiB.
-_SCORE_BATCH = 16
-
-
-def _batches(cache: NnCache, stream: list[Observation]) -> Iterator[tuple]:
-    """Insert ``stream`` with ``cache.extend`` and yield it in batches of up to
-    ``_SCORE_BATCH`` steps.
-
-    A batch is its first step, the number of rows of each step, the rows of
-    every step in order (those whose minima the step's insertion lowered,
-    then the new row) and their ``d_same`` and ``d_other`` as they stood at
-    that step. While a batch is out, the cache holds the stream up to its
-    last step.
-    """
-    start = 0
-    rows, d_same, d_other = [], [], []
-    for k, changed in enumerate(cache.extend(stream)):
-        step_rows = np.concatenate((changed, (k,)))
-        rows.append(step_rows)
-        d_same.append(cache.d_same[step_rows])
-        d_other.append(cache.d_other[step_rows])
-        if len(rows) == _SCORE_BATCH or k + 1 == len(stream):
-            sizes = [r.size for r in rows]
-            rows = np.concatenate(rows).tolist()
-            yield start, sizes, rows, np.concatenate(d_same), np.concatenate(d_other)
-            start = k + 1
-            rows, d_same, d_other = [], [], []
-
-
 def _rank_class_mean(
     scores: np.ndarray, labels: np.ndarray, counts: list[int], y: int, tau: float
 ) -> float:
@@ -218,12 +184,13 @@ def interleave(
     disjoint substreams. They are drawn for the whole stream up front, which
     gives the same values.
 
-    Each step rescores only the rows that ``NnCache.extend`` yields as
-    changed, and the new row. Their ``d_same`` and ``d_other`` are recorded
-    at each step, and every ``_SCORE_BATCH`` steps (and at the end of the
-    stream) one ``nn_scores`` call per measure scores the recorded rows of
-    all those steps; ``nn_scores`` is elementwise, so each score is the one
-    its step would have computed. The steps are then replayed in order. The
+    The stream is inserted with one ``NnCache.extend`` call, which logs for
+    every step the rows whose minima that insertion lowered, then the new
+    row, with their ``d_same`` and ``d_other`` as they stood at that step.
+    Each step rescores only those rows: one ``nn_scores`` call per measure
+    scores the logged rows of a block of steps, and ``nn_scores`` is
+    elementwise, so each score is the one its step would have computed. The
+    steps are then replayed in order. The
     concept scores are kept in one sorted list per class (and one over all
     rows for the black leg), so a rank is two bisections. The label leg
     ranks the newest class mean among the class means: the class sizes are
@@ -241,12 +208,14 @@ def interleave(
     stream = list(stream)
     if not stream:
         raise ValueError("empty stream")
-    cache = NnCache()
     taus = _tau_draws((tau_black_src, tau_src, tau_prime_src if with_label else None), len(stream))
     p_black, p_concept, p_label = (None if t is None else np.empty(len(stream)) for t in taus)
     tau_black, tau, tau_prime = (None if t is None else t.tolist() for t in taus)
+    cache = NnCache()
+    records = cache.extend(stream)
+    labels = cache.labels
     # the class id and concept score of each row, and the label-measure scores
-    row_class: list[int] = []
+    row_class = labels.tolist()
     concept_scores: list[float] = []
     label_scores = np.empty(len(stream)) if with_label else None
     # the concept scores of each class id, and of all rows, in sorted lists;
@@ -254,9 +223,9 @@ def interleave(
     by_class: list[list[float]] = []
     overall: list[float] = []
     counts: list[int] = []
-    for start, sizes, rows, d_same, d_other in _batches(cache, stream):
-        labels = cache.labels
-        row_class += labels[start : start + len(sizes)].tolist()
+    start = 0
+    for sizes, rows, d_same, d_other in records:
+        rows = rows.tolist()
         scores = nn_scores(concept_measure, d_same, d_other).tolist()
         if label_measure == concept_measure:
             label_batch = scores
@@ -292,5 +261,6 @@ def interleave(
                 p_label[k] = _rank_class_mean(
                     label_scores[: k + 1], labels[: k + 1], counts, y, tau_prime[k]
                 )
+        start += len(sizes)
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

@@ -11,7 +11,6 @@ from scipy.special import logsumexp
 from shiftmart import (
     ExperimentConfig,
     MartingaleTrajectory,
-    QuadratureSpec,
     RandomSource,
     ScenarioConfig,
     bet_step,
@@ -283,10 +282,3 @@ def test_mutated_strategy_is_detected():
     rng = np.random.default_rng(3)
     prefixes = [rng.uniform(size=rng.integers(1, 4)) for _ in range(100)]
     assert check_betting_validity(mutated, prefixes) > 0.1
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError, match="mixture-power"):
-        check_betting_validity("simple-jumper", [[]], QuadratureSpec("power-moments", 64))
-    with pytest.raises(ValueError, match="rule"):
-        check_betting_validity("simple-jumper", [[]], QuadratureSpec("trapezoid", 2))

@@ -542,9 +542,10 @@ def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
     table = run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=4)))
     write_trajectory_csv(table, str(path))
     lines = path.read_text().splitlines()
-    with pytest.raises(SystemExit) as exit_info:
-        main(["report", "--bins", "0", str(path)])
-    assert exit_info.value.code == EXIT_CONFIG
+    for bins in ("0", "200000"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--bins", bins, str(path)])
+        assert exit_info.value.code == EXIT_CONFIG
     for column, value in ((1, "nan"), (2, "nan"), (1, "inf"), (2, "-0.25"), (1, "1.5"), (2, "x")):
         fields = lines[3].split(",")
         fields[column] = value

@@ -65,16 +65,28 @@ def assert_same_state(cache, reference, context):
 
 
 def extend_in_lockstep(cache, stream, reference, context):
-    """Extend ``cache`` and insert the same stream one at a time into
-    ``reference``, requiring equal states after every yield, and that each
-    yield names exactly the earlier rows whose minima the insertion lowered."""
-    d_same, d_other = cache.d_same.copy(), cache.d_other.copy()
-    for k, changed in enumerate(cache.extend(stream)):
-        reference.insert(stream[k])
-        assert_same_state(cache, reference, f"{context}, step {k}")
-        lowered = (cache.d_same[:-1] != d_same) | (cache.d_other[:-1] != d_other)
-        assert np.array_equal(changed, np.flatnonzero(lowered)), f"{context}, step {k}"
-        d_same, d_other = cache.d_same.copy(), cache.d_other.copy()
+    """Extend ``cache`` with ``stream`` and insert the same stream one point at
+    a time into ``reference``. At every step the logged rows must be the rows
+    whose minima the insertion lowered, ascending, then the new row, and the
+    logged minima the reference's at those rows; every block but the last
+    must hold ``_BLOCK`` steps."""
+    k = 0
+    for i, (sizes, rows, d_same, d_other) in enumerate(cache.extend(stream)):
+        assert len(sizes) == min(_BLOCK, len(stream) - i * _BLOCK), context
+        assert len(rows) == len(d_same) == len(d_other) == sum(sizes), context
+        end = 0
+        for size in sizes:
+            begin, end = end, end + size
+            same, other = reference.d_same.copy(), reference.d_other.copy()
+            reference.insert(stream[k])
+            lowered = (reference.d_same[:-1] != same) | (reference.d_other[:-1] != other)
+            expected = np.append(np.flatnonzero(lowered), reference.n - 1)
+            assert np.array_equal(rows[begin:end], expected), f"{context}, step {k}"
+            assert np.array_equal(d_same[begin:end], reference.d_same[expected]), f"{context}, step {k}"
+            assert np.array_equal(d_other[begin:end], reference.d_other[expected]), f"{context}, step {k}"
+            k += 1
+    assert k == len(stream), context
+    assert_same_state(cache, reference, context)
 
 
 def block_streams():
@@ -113,52 +125,31 @@ def test_extend_matches_one_at_a_time_inserts_and_the_full_scan():
 def test_extend_stops_at_a_mismatched_dimension_mid_block():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(46, 64))
-    labels = rng.integers(0, 3, size=46)
+    # labels 8 and 3 first appear in the stream that is refused
+    labels = np.array([5] * 6 + [8, 3, 5] * 13 + [3])
     stream = make_stream(points, labels)
     bad = 2 * _BLOCK + 8
     stream[bad] = Observation(np.zeros(63), 0)
-    cache, reference = NnCache(), NnCache()
-    yielded = 0
+    # an empty cache keeps no dimension from a refused first call
+    cache = NnCache()
     with pytest.raises(ValueError, match="dimension"):
-        for _ in cache.extend(stream):
-            yielded += 1
-    assert yielded == bad
-    for obs in stream[:bad]:
-        reference.insert(obs)
+        cache.extend(stream)
+    assert cache.n == 0 and cache.dim is None
+    cache.extend(stream[bad : bad + 1])
+    assert cache.dim == 63
+    # a filled cache keeps its rows, minima and class ids
+    head = 5
+    cache, reference = fill_cache(stream[:head]), fill_cache(stream[:head])
+    with pytest.raises(ValueError, match="dimension"):
+        cache.extend(stream[head:])
+    assert cache.dim == 64
     assert_same_state(cache, reference, "after the mismatch")
-    d_same, d_other = nn_distances_bruteforce(points[:bad], labels[:bad])
+    kept = [*range(head), head + 2]
+    cache.insert(stream[head + 2])
+    assert cache.labels[head] == 1  # label 3, the first new label inserted
+    d_same, d_other = nn_distances_bruteforce(points[kept], labels[kept])
     assert np.array_equal(cache.d_same, d_same)
     assert np.array_equal(cache.d_other, d_other)
-
-
-def test_abandoned_extend_leaves_the_yielded_prefix():
-    rng = np.random.default_rng(9)
-    points = rng.normal(size=(60, 64))
-    # labels 8 and 3 first appear in the part of the block never yielded
-    labels = np.array([5] * 20 + [8, 3] * 5 + [5] * 10 + [3, 8, 5] * 6 + [3, 8])
-    stream = make_stream(points, labels)
-    head, tail = stream[:40], stream[40:]
-    cache = NnCache()
-    steps = cache.extend(head)
-    for _ in range(_BLOCK + 4):
-        next(steps)
-    steps.close()
-    kept = _BLOCK + 4
-    for obs in tail:
-        cache.insert(obs)
-    reference = fill_cache(stream[:kept] + tail)
-    assert_same_state(cache, reference, "after abandoning extend")
-    assert cache.labels[kept] == 1  # label 3, the first new label inserted
-
-
-def test_extend_refuses_to_resume_after_the_cache_changed():
-    stream = make_stream(np.arange(40.0), [0, 1] * 20)
-    cache = NnCache()
-    steps = cache.extend(stream[:20])
-    next(steps)
-    cache.insert(stream[30])
-    with pytest.raises(RuntimeError, match="changed"):
-        next(steps)
 
 
 def test_labels_are_dense_ids_in_first_seen_order():

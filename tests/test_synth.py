@@ -16,7 +16,7 @@ from shiftmart import (
     pair_chisq,
     uniformity_report,
 )
-from shiftmart.synth import class_means
+from shiftmart.synth import class_centres
 
 
 # --- configuration validation -------------------------------------------------
@@ -43,8 +43,8 @@ def test_config_validation():
         ScenarioConfig("concept-shift", n_steps=10, changepoint=5, shift_magnitude=-1.0)
 
 
-def test_class_means_sit_at_distance_four():
-    means = class_means(3, 5)
+def test_class_centres_sit_at_distance_four():
+    means = class_centres(3, 5)
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.linalg.norm(means[i] - means[j]) == pytest.approx(4.0)
@@ -122,7 +122,7 @@ def test_markov_labels_follow_the_transition_matrix():
 def test_objects_are_conditionally_gaussian_around_their_class_mean():
     config = ScenarioConfig("iid", n_steps=3000, n_classes=2, dim=2)
     stream = generate(config, RandomSource(17, "scenario"))
-    means = class_means(2, 2)
+    means = class_centres(2, 2)
     for label in range(2):
         xs = np.array([o.x for o in stream if o.y == label])
         assert np.abs(xs.mean(axis=0) - means[label]).max() < 0.15

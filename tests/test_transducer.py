@@ -18,8 +18,7 @@ from shiftmart import (
     p_label_conditional,
     score_nn,
 )
-from shiftmart.conformity import SCREEN_MIN_FLOATS
-from shiftmart.transducer import _SCORE_BATCH
+from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS
 
 from oracles import p_conformal_recount, p_label_conditional_recount
 
@@ -242,17 +241,17 @@ def test_interleave_matches_the_per_step_transducers(case):
 
 def _batch_edge_streams():
     rng = np.random.default_rng(43)
-    for n in (1, _SCORE_BATCH - 1, _SCORE_BATCH, _SCORE_BATCH + 1, 25 * _SCORE_BATCH + 1):
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 25 * _BLOCK + 1):
         yield f"length {n}", rng.normal(size=(n, 2)), rng.integers(0, 2, size=n), None
-    middle = _SCORE_BATCH + _SCORE_BATCH // 2
-    labels = rng.integers(0, 2, size=3 * _SCORE_BATCH)
+    middle = _BLOCK + _BLOCK // 2
+    labels = rng.integers(0, 2, size=3 * _BLOCK)
     labels[middle] = 2
     yield "new class in mid-batch", rng.normal(size=(labels.size, 2)), labels, None
     # Repeating a point of class 0 gives both copies d_same = 0, so infinite
     # scores and a clamped class sum from then on. Class 1 is tight and far
     # off, so its scores dwarf those of class 0: the clamped mean of class 0
     # ranks below class 1, the unclamped one above it.
-    labels = rng.integers(0, 2, size=3 * _SCORE_BATCH)
+    labels = rng.integers(0, 2, size=3 * _BLOCK)
     labels[:2] = 0, 1
     points = rng.normal(size=(labels.size, 2))
     points[labels == 1] = 0.01 * points[labels == 1] + 5.0
