@@ -282,3 +282,14 @@ def test_mutated_strategy_is_detected():
     rng = np.random.default_rng(3)
     prefixes = [rng.uniform(size=rng.integers(1, 4)) for _ in range(100)]
     assert check_betting_validity(mutated, prefixes) > 0.1
+
+
+def test_callable_validity_is_exact_for_a_degree_six_betting_function():
+    # betting on 7 u**6 integrates to 1, so the strategy is valid; 8-point
+    # Gauss-Legendre is exact to degree 15, a 2-point rule misses by 0.16
+    def sixth_power(ps):
+        return float(np.prod(7.0 * np.asarray(ps, dtype=float) ** 6))
+
+    rng = np.random.default_rng(4)
+    prefixes = [[]] + [rng.uniform(0.5, 1.0, size=k) for k in (1, 2, 3)]
+    assert check_betting_validity(sixth_power, prefixes) < 1e-10

@@ -556,6 +556,15 @@ def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_report_accepts_the_largest_bin_count(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    write_trajectory_csv(run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=4))), str(path))
+    assert main(["report", "--bins", "1000", "--column", "both", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["p_concept"]["sample_count"] == 4
+    assert "pair" in report
+
+
 
 def written_csv_lines(tmp_path, n_steps=6, **overrides):
     """A trajectory CSV written by ``run``, as its path and its lines."""

@@ -152,6 +152,31 @@ def test_extend_stops_at_a_mismatched_dimension_mid_block():
     assert np.array_equal(cache.d_other, d_other)
 
 
+def test_extend_of_an_empty_stream_changes_nothing():
+    cache = NnCache()
+    assert cache.extend([]) == []
+    assert cache.n == 0 and cache.dim is None
+    stream = make_stream(np.arange(6.0), [0, 1, 0, 1, 1, 0])
+    cache, reference = fill_cache(stream), fill_cache(stream)
+    assert cache.extend(iter([])) == []
+    assert cache.dim == 1
+    assert_same_state(cache, reference, "after an empty extend")
+
+
+def test_extend_takes_a_one_shot_iterator():
+    rng = np.random.default_rng(9)
+    stream = make_stream(rng.normal(size=(2 * _BLOCK + 3, 4)), rng.integers(0, 3, size=2 * _BLOCK + 3))
+    cache, reference = NnCache(), NnCache()
+    records = cache.extend(obs for obs in stream)
+    expected = reference.extend(stream)
+    assert len(records) == len(expected) == 3
+    for got, want in zip(records, expected):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+    assert_same_state(cache, reference, "after a generator extend")
+
+
 def test_labels_are_dense_ids_in_first_seen_order():
     labels = [10**6, 0, 10**6, 7, 0]
     stream = make_stream([0.0, 1.0, 2.0, 3.0, 5.0], labels)
