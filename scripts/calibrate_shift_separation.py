@@ -13,28 +13,15 @@ import time
 
 import numpy as np
 
-from shiftmart import (
-    RandomSource,
-    ScenarioConfig,
-    generate,
-    initial_state,
-    interleave,
-    run_martingale,
-)
+from shiftmart import ExperimentConfig, ScenarioConfig, run_experiment
 
 
 def leg_finals(scenario, seed, concept_measure, label_measure, strategy, jump_rate):
-    stream = generate(scenario, RandomSource(seed, "scenario"))
-    legs = interleave(
-        stream,
-        concept_measure,
-        label_measure,
-        RandomSource(seed, "tau"),
-        RandomSource(seed, "tau-prime"),
+    config = ExperimentConfig(
+        scenario, concept_measure, label_measure, strategy, jump_rate=jump_rate, seed=seed
     )
-    red = run_martingale(initial_state(strategy, jump_rate), legs.p_concept)
-    green = run_martingale(initial_state(strategy, jump_rate), legs.p_label)
-    return red.final, green.final
+    table = run_experiment(config)
+    return table.log10_red[-1], table.log10_green[-1]
 
 
 def sweep(scenario, seeds, concept_measure, label_measure, strategy, jump_rate):

@@ -32,6 +32,7 @@ import math
 import numbers
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,16 +124,21 @@ def load_usps(train_path: str, test_path: str) -> list[Observation]:
 # ---------------------------------------------------------------------------
 
 
+def _is_path(value) -> bool:
+    """True for a string open() takes as a path. It would take an integer (or a
+    bool) as a file descriptor, and it raises ValueError on a NUL character."""
+    return isinstance(value, str) and "\0" not in value
+
+
 @dataclass(frozen=True)
 class UspsPaths:
     train_path: str
     test_path: str
 
     def __post_init__(self):
-        # open() would take an integer (or a bool) as a file descriptor
         for name in ("train_path", "test_path"):
             value = getattr(self, name)
-            if not isinstance(value, str):
+            if not _is_path(value):
                 raise ConfigError(f"{name} must be a path string, got {value!r}")
 
 
@@ -171,7 +177,7 @@ class ExperimentConfig:
         shared = self.shared_randomization
         if not isinstance(shared, bool):
             raise ConfigError(f"shared_randomization must be a bool, got {shared!r}")
-        if self.output is not None and not isinstance(self.output, str):
+        if self.output is not None and not _is_path(self.output):
             raise ConfigError(f"output must be a path string or null, got {self.output!r}")
 
 
@@ -221,6 +227,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     if overrides:
@@ -328,11 +336,17 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "n,p_concept,p_label,log10_black,log10_red,log10_green,log10_blue"
-
-
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+# The CSV has the step count n, then one column per TrajectoryTable field in
+# field order. A p_* column leaves row n=0 empty and holds values in [0, 1];
+# every other column starts at row 0 and holds finite values. The fields that
+# may be None make up the label leg: filled together or left empty together.
+_COLUMNS = tuple(field.name for field in dataclasses.fields(TrajectoryTable))
+_LABEL_LEG = tuple(
+    name
+    for name, hint in typing.get_type_hints(TrajectoryTable).items()
+    if type(None) in typing.get_args(hint)
+)
+CSV_HEADER = ",".join(("n",) + _COLUMNS)
 
 
 def render_trajectory_csv(table: TrajectoryTable) -> str:
@@ -340,23 +354,14 @@ def render_trajectory_csv(table: TrajectoryTable) -> str:
 
     Row n=0 carries the initial capitals and empty p fields.
     """
-    lines = [CSV_HEADER]
-    green0 = None if table.log10_green is None else table.log10_green[0]
-    blue0 = None if table.log10_blue is None else table.log10_blue[0]
-    lines.append(
-        f"0,,,{_fmt(table.log10_black[0])},{_fmt(table.log10_red[0])},"
-        f"{_fmt(green0)},{_fmt(blue0)}"
-    )
-    for k in range(table.n_steps):
-        p_label = None if table.p_label is None else table.p_label[k]
-        green = None if table.log10_green is None else table.log10_green[k + 1]
-        blue = None if table.log10_blue is None else table.log10_blue[k + 1]
-        lines.append(
-            f"{k + 1},{_fmt(table.p_concept[k])},{_fmt(p_label)},"
-            f"{_fmt(table.log10_black[k + 1])},{_fmt(table.log10_red[k + 1])},"
-            f"{_fmt(green)},{_fmt(blue)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = table.n_steps + 1
+    columns = [map(str, range(rows))]
+    for name in _COLUMNS:
+        values = getattr(table, name)
+        cells = [] if values is None else list(map(repr, values.tolist()))
+        # leading blanks: row 0 of a p column, every row of an absent column
+        columns.append([""] * (rows - len(cells)) + cells)
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def write_trajectory_csv(table: TrajectoryTable, path: str) -> None:
@@ -395,73 +400,47 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
     if not lines or lines[0] != CSV_HEADER:
         raise DataError(f"{path}: missing or wrong header")
     rows = [line.split(",") for line in lines[1:] if line]
-    if not rows or any(len(r) != 7 for r in rows):
+    if not rows or any(len(r) != len(_COLUMNS) + 1 for r in rows):
         raise DataError(f"{path}: malformed rows")
-    n = len(rows) - 1
     for k, row in enumerate(rows):
         if row[0] != str(k):
             raise DataError(f"{path}: expected n = {k}, got {row[0]!r}")
-    if rows[0][1] or rows[0][2]:
-        raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
-
-    def column(idx, start):
-        cells = [r[idx] for r in rows[start:]]
+    columns = {}
+    for name, cells in zip(_COLUMNS, list(zip(*rows))[1:]):
+        is_p = name.startswith("p_")
+        if is_p and cells[0]:
+            raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
+        cells = cells[is_p:]
         if all(c == "" for c in cells):
-            return None
+            columns[name] = None
+            continue
         try:
-            return np.array([float(c) for c in cells])
+            values = np.array([float(c) for c in cells])
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
-
-    p_concept = column(1, 1)
-    p_label = column(2, 1)
-    log10_black = column(3, 0)
-    log10_red = column(4, 0)
-    log10_green = column(5, 0)
-    log10_blue = column(6, 0)
-    if p_concept is None or log10_black is None or log10_red is None:
-        raise DataError(f"{path}: required columns are empty")
-    if p_concept.size != n or log10_black.size != n + 1:
-        raise DataError(f"{path}: inconsistent row counts")
-    for name, p in (("p_concept", p_concept), ("p_label", p_label)):
-        if p is not None and not ((p >= 0.0) & (p <= 1.0)).all():
+        if is_p and not ((values >= 0.0) & (values <= 1.0)).all():
             raise DataError(f"{path}: {name} holds a value outside [0, 1] or NaN")
-    label_leg = (p_label, log10_green, log10_blue)
-    if any(c is None for c in label_leg) and any(c is not None for c in label_leg):
-        raise DataError(
-            f"{path}: p_label, log10_green and log10_blue must be all filled or all empty"
-        )
-    for name, values in (
-        ("log10_black", log10_black),
-        ("log10_red", log10_red),
-        ("log10_green", log10_green),
-        ("log10_blue", log10_blue),
-    ):
-        if values is not None and not np.isfinite(values).all():
+        if not is_p and not np.isfinite(values).all():
             raise DataError(f"{path}: {name} holds a value that is not finite")
-    if log10_blue is not None:
-        gap = np.abs(log10_blue - (log10_red + log10_green)).max()
+        columns[name] = values
+    empty = {name for name, values in columns.items() if values is None}
+    if empty - set(_LABEL_LEG):
+        raise DataError(f"{path}: required columns are empty")
+    if empty and empty != set(_LABEL_LEG):
+        raise DataError(f"{path}: {', '.join(_LABEL_LEG)} must be all filled or all empty")
+    table = TrajectoryTable(**columns)
+    if not empty:
+        gap = np.abs(table.log10_blue - (table.log10_red + table.log10_green)).max()
         if gap > _DECOMPOSITION_TOL:
             raise DataError(
                 f"{path}: log10_blue is {gap:.3g} away from log10_red + log10_green"
             )
-    return TrajectoryTable(
-        p_concept, p_label, log10_black, log10_red, log10_green, log10_blue
-    )
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Command-line interface
 # ---------------------------------------------------------------------------
-
-
-def _run_single(config: ExperimentConfig) -> TrajectoryTable:
-    table = run_experiment(config)
-    if config.output:
-        write_trajectory_csv(table, config.output)
-    else:
-        sys.stdout.write(render_trajectory_csv(table))
-    return table
 
 
 def _sweep_worker(args):
@@ -473,19 +452,14 @@ def _sweep_worker(args):
 
 
 def _cmd_run(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "output": args.output,
-        "concept_measure": args.concept_measure,
-        "label_measure": args.label_measure,
-        "strategy": args.strategy,
-        "jump_rate": args.jump_rate,
-        "reluctance": args.reluctance,
-    }
-    if args.shared_randomization:
-        overrides["shared_randomization"] = True
+    # every run flag is stored under its config field's name; None means absent
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
     config = load_config(args.config, overrides)
-    _run_single(config)
+    table = run_experiment(config)
+    if config.output:
+        write_trajectory_csv(table, config.output)
+    else:
+        sys.stdout.write(render_trajectory_csv(table))
     return EXIT_OK
 
 
@@ -582,6 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shared-randomization",
         dest="shared_randomization",
         action="store_true",
+        default=None,
         help="draw all tie-breaking values from one substream (compatibility mode)",
     )
     run.set_defaults(func=_cmd_run)

@@ -42,6 +42,10 @@ _SHIFT_SCENARIOS = ("concept-shift", "label-shift")
 
 _INTER_CLASS_DISTANCE = 4.0
 _ROW_SUM_TOL = 1e-12
+# Largest n_classes * dim (the class centres) and n_steps * dim (the stream)
+# a config may ask for: 10**8 float64 values are 800 MB. The benchmark's
+# largest stream is 2000 x 256 floats; the USPS stream is 9298 x 256.
+_MAX_FLOATS = 10**8
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,12 @@ class ScenarioConfig:
                 "object dimension must be at least n_classes "
                 f"(got dim={self.dim}, n_classes={self.n_classes})"
             )
+        for name in ("n_classes", "n_steps"):
+            if getattr(self, name) * self.dim > _MAX_FLOATS:
+                raise ValueError(
+                    f"{name} * dim must be at most {_MAX_FLOATS} floats "
+                    f"(got {name}={getattr(self, name)}, dim={self.dim})"
+                )
         magnitude = self.shift_magnitude
         if (
             not isinstance(magnitude, numbers.Real)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from shiftmart.cli import (
     load_config,
     main,
 )
+from shiftmart.synth import _MAX_FLOATS
 
 
 def usps_row(label, fill=0.25, n_features=256):
@@ -159,6 +161,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({"shared_randomization": "no"}, {}, "shared_randomization"),
         ({"shared_randomization": 1}, {}, "shared_randomization"),
         ({"output": 5}, {}, "output"),
+        ({"output": "traj\0.csv"}, {}, "output"),
         ({}, {"n_steps": 5.5}, "n_steps"),
         ({}, {"n_steps": True}, "n_steps"),
         ({}, {"dim": 2.5}, "dim"),
@@ -176,6 +179,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "shared-string",
         "shared-int",
         "output-int",
+        "output-nul",
         "n_steps-float",
         "n_steps-bool",
         "dim-float",
@@ -692,7 +696,9 @@ def test_sweep_rejects_an_out_dir_that_is_a_file(tmp_path, capsys):
     assert regular.read_text() == "keep me\n"
 
 
-@pytest.mark.parametrize("value", [0, True, None, ["a"]], ids=["int", "bool", "null", "list"])
+@pytest.mark.parametrize(
+    "value", [0, True, None, ["a"], "zip\0data"], ids=["int", "bool", "null", "list", "nul"]
+)
 @pytest.mark.parametrize("field", ["train_path", "test_path"])
 def test_usps_paths_must_be_strings(tmp_path, capsys, usps_files, field, value):
     raw = scenario_config_dict()
@@ -704,3 +710,175 @@ def test_usps_paths_must_be_strings(tmp_path, capsys, usps_files, field, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+# --- config inputs that must end in exit 2 ------------------------------------------
+
+
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: config {path}")
+
+
+@pytest.mark.parametrize(
+    "sizes, field",
+    [
+        ({"n_classes": 100000, "dim": 100000}, "n_classes"),
+        ({"n_classes": 2, "dim": _MAX_FLOATS // 2 + 1}, "n_classes"),
+        ({"n_steps": _MAX_FLOATS // 10**4 + 1, "dim": 10**4}, "n_steps"),
+    ],
+    ids=["74-GiB-centres", "centres-just-over", "stream-just-over"],
+)
+def test_oversized_scenario_is_refused_before_allocating(tmp_path, capsys, sizes, field):
+    # each of these asks for more than _MAX_FLOATS values; validation refuses
+    # it before generate() allocates the class centres or the stream
+    raw = scenario_config_dict()
+    raw["data"] = {"kind": "scenario", "scenario": "iid", "n_steps": 5, **sizes}
+    with pytest.raises(ConfigError, match=f"{field} \\* dim must be at most {_MAX_FLOATS}"):
+        config_from_dict(raw)
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field}={sizes.get(field, 5)}" in captured.err
+    assert f"dim={sizes['dim']}" in captured.err
+
+
+def test_scenario_at_the_size_cap_is_accepted():
+    # constructing the config allocates nothing, so the cap itself can be checked
+    side = math.isqrt(_MAX_FLOATS)
+    config = ScenarioConfig("iid", n_steps=side, n_classes=side, dim=side)
+    assert config.n_steps * config.dim == config.n_classes * config.dim == _MAX_FLOATS
+
+
+# --- run flags override the JSON fields of the same name ------------------------------
+
+
+def run_with_captured_config(tmp_path, monkeypatch, raw, flags):
+    """The ExperimentConfig that ``run`` hands to run_experiment."""
+    seen = []
+    table = run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=2)))
+
+    def capture(config):
+        seen.append(config)
+        return table
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", write_config(tmp_path, raw), *flags]) == EXIT_OK
+    (config,) = seen
+    return config
+
+
+@pytest.mark.parametrize(
+    "flags, field, value",
+    [
+        (["--seed", "9"], "seed", 9),
+        (["--output", "flag.csv"], "output", "flag.csv"),
+        (["--concept-measure", "same-class"], "concept_measure", "same-class"),
+        (["--label-measure", "nearest-object"], "label_measure", "nearest-object"),
+        (["--strategy", "mixture-power"], "strategy", "mixture-power"),
+        (["--jump-rate", "0.25"], "jump_rate", 0.25),
+        (["--reluctance", "0.5"], "reluctance", 0.5),
+        (["--shared-randomization"], "shared_randomization", True),
+    ],
+)
+def test_each_run_flag_overrides_its_json_field(tmp_path, monkeypatch, flags, field, value):
+    raw = scenario_config_dict(jump_rate=0.01, reluctance=0.2, output="json.csv")
+    config = run_with_captured_config(tmp_path, monkeypatch, raw, flags)
+    assert config == dataclasses.replace(config_from_dict(raw), **{field: value})
+
+
+def test_run_without_flags_keeps_the_json_fields(tmp_path, monkeypatch, capsys):
+    raw = scenario_config_dict(shared_randomization=True, strategy="mixture-power", jump_rate=0.05)
+    config = run_with_captured_config(tmp_path, monkeypatch, raw, [])
+    assert config == config_from_dict(raw)
+    assert (config.shared_randomization, config.strategy, config.jump_rate) == (
+        True,
+        "mixture-power",
+        0.05,
+    )
+    assert capsys.readouterr().out.startswith("n,p_concept,")
+
+
+# --- config-document fuzz ----------------------------------------------------------
+
+
+def fuzz_base_config():
+    """A valid 20-step document that sets every top-level and data field."""
+    return {
+        "data": {
+            "kind": "scenario",
+            "scenario": "concept-shift",
+            "n_steps": 20,
+            "n_classes": 2,
+            "dim": 2,
+            "changepoint": 10,
+            "shift_magnitude": 2.0,
+            "seed": 3,
+        },
+        "concept_measure": "ratio",
+        "label_measure": "same-class",
+        "strategy": "simple-jumper",
+        "jump_rate": 0.01,
+        "reluctance": 0.01,
+        "seed": 1,
+        "shared_randomization": False,
+        "output": "traj.csv",
+    }
+
+
+# no "/" in generated text: an output path must stay inside the run's directory
+_fuzz_text = st.text(alphabet=st.characters(blacklist_characters="/"), max_size=12)
+_fuzz_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _fuzz_text
+)
+_fuzz_values = (
+    _fuzz_scalars
+    | st.lists(_fuzz_scalars, max_size=3)
+    | st.dictionaries(_fuzz_text, _fuzz_scalars, max_size=3)
+)
+
+
+@st.composite
+def mutated_config(draw):
+    raw = fuzz_base_config()
+    section = raw if draw(st.booleans()) else raw["data"]
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "add":
+        section[draw(_fuzz_text)] = draw(_fuzz_values)
+    else:
+        key = draw(st.sampled_from(sorted(section)))
+        if action == "drop":
+            del section[key]
+        else:
+            section[key] = draw(_fuzz_values)
+    return raw
+
+
+@given(mutated_config())
+@settings(max_examples=150, deadline=None)
+def test_run_on_a_mutated_config_exits_cleanly(tmp_path_factory, raw):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    config_path = workdir / "config.json"
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config_path)])
+    finally:
+        os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+    if code != EXIT_OK:
+        assert err.getvalue().startswith(("config error: ", "data error: "))
