@@ -25,7 +25,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label-measure", choices=NN_VARIANTS, default="ratio")
     parser.add_argument("--strategy", choices=STRATEGY_TAGS, default="sleepy-jumper")
     parser.add_argument("--jump-rate", type=float, default=0.001)
-    parser.add_argument("--reluctance", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--shared-randomization", action="store_true")
     parser.add_argument("--out", default=None, help="trajectory CSV output path")
@@ -37,7 +36,6 @@ def main(argv=None) -> int:
         label_measure=args.label_measure,
         strategy=args.strategy,
         jump_rate=args.jump_rate,
-        reluctance=args.reluctance,
         seed=args.seed,
         shared_randomization=args.shared_randomization,
     )

@@ -263,24 +263,19 @@ def product_martingale(
     return MartingaleTrajectory(a.log10_values + b.log10_values, provenance)
 
 
-def _capital_fn(strategy, jump_rate, reluctance):
+def _capital_fn(strategy, jump_rate):
     """Turn a strategy tag or callable into F: p-sequence -> capital."""
     if callable(strategy):
         return strategy
 
     def capital(ps):
-        state = initial_state(strategy, jump_rate, reluctance)
+        state = initial_state(strategy, jump_rate)
         return 10.0 ** run_martingale(state, ps).final
 
     return capital
 
 
-def check_betting_validity(
-    strategy,
-    prefixes,
-    jump_rate: float = 0.001,
-    reluctance: float = 0.01,
-) -> float:
+def check_betting_validity(strategy, prefixes, jump_rate: float = 0.001) -> float:
     """Max deviation from the betting contract over the given prefixes.
 
     For each prefix the integral of F(prefix + [u]) over u in [0, 1] is
@@ -298,7 +293,7 @@ def check_betting_validity(
     because for small exponents almost all of the component's mass sits
     below the smallest representable float.
     """
-    capital = _capital_fn(strategy, jump_rate, reluctance)
+    capital = _capital_fn(strategy, jump_rate)
     mixture = strategy == "mixture-power"
     if not mixture:
         nodes, weights = np.polynomial.legendre.leggauss(8 if callable(strategy) else 2)

@@ -75,7 +75,9 @@ class InvariantViolation(Exception):
 def _parse_usps_file(path: str) -> list[Observation]:
     observations = []
     try:
-        handle = open(path, "r", encoding="ascii")
+        # a byte outside ASCII decodes to a lone surrogate, which no number
+        # parses, so its row is refused like any other unparsable row
+        handle = open(path, "r", encoding="ascii", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -126,8 +128,16 @@ def load_usps(train_path: str, test_path: str) -> list[Observation]:
 
 def _is_path(value) -> bool:
     """True for a string open() takes as a path. It would take an integer (or a
-    bool) as a file descriptor, and it raises ValueError on a NUL character."""
-    return isinstance(value, str) and "\0" not in value
+    bool) as a file descriptor, it raises ValueError on a NUL character, and
+    UnicodeEncodeError on a string the file system encoding cannot encode,
+    such as a lone surrogate from a JSON escape."""
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -227,6 +237,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     if not isinstance(raw, dict):

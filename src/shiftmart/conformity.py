@@ -5,7 +5,7 @@ quantities that :class:`NnCache` maintains incrementally while the stream
 grows: the Euclidean distance ``d_same`` to the nearest point with the same
 label (the point itself excluded) and the distance ``d_other`` to the nearest
 point with any other label. ``NnCache.extend`` inserts a whole stream and
-returns, for every step, the rows whose distances that insertion lowered
+returns one log of every step's rows whose distances that insertion lowered
 and their new distances, so a caller rescores only those rows.
 
     ratio                       d_other / d_same
@@ -66,9 +66,7 @@ SCREEN_MIN_FLOATS = 4096
 # b points makes a few b x n float temporaries. Interleaving 2000 points of
 # d = 256 with 10 classes in a warm process took 0.33 to 0.42 s with blocks
 # of 8 and 0.25 to 0.33 s with blocks of 16 and 32, and the peak memory of
-# the three differed by less than 0.2 MiB. A block is also one record of
-# ``extend``, whose rows ``interleave`` scores with one ``nn_scores`` call per
-# measure.
+# the three differed by less than 0.2 MiB.
 _BLOCK = 16
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -82,8 +80,8 @@ class NnCache:
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` inserts a stream in blocks of
-    up to ``_BLOCK`` points and returns, for every step, the rows whose
-    minima it changed; ``insert`` is a stream of one. Small blocks and caches
+    up to ``_BLOCK`` points and returns a log of the rows whose minima each
+    step changed; ``insert`` is a stream of one. Small blocks and caches
     evaluate the formula on every pair of a new point and an earlier one.
     Once a block's product with the stored rows reaches ``SCREEN_MIN_FLOATS``
     multiply-adds, that one matrix product screens the stored rows against
@@ -161,7 +159,7 @@ class NnCache:
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
 
-        ``extend([obs])`` with its record ignored. Raises ValueError when the
+        ``extend([obs])`` with its log ignored. Raises ValueError when the
         object dimension does not match the cache (the first insertion fixes
         the dimension). A stream of one pays a block's fixed cost on every
         point; for a stream, ``extend`` is about 3x faster (see the class
@@ -169,17 +167,15 @@ class NnCache:
         """
         self.extend([obs])
 
-    def extend(self, observations: Iterable[Observation]) -> list[tuple]:
-        """Insert observations in order; return one record per block of steps.
+    def extend(self, observations: Iterable[Observation]) -> tuple[np.ndarray, ...]:
+        """Insert observations in order; return the log ``(rows, d_same, d_other)``.
 
-        The observations are inserted in blocks of up to ``_BLOCK`` steps, and
-        each block's record is ``(sizes, rows, d_same, d_other)``. ``sizes``
-        lists the row count of each of its steps. ``rows`` holds each step's
-        rows in turn: the stored rows whose ``d_same`` or ``d_other`` that
-        insertion lowered, ascending, then the new row. ``d_same`` and
-        ``d_other`` are those rows' minima as they stood right after that
-        step. Every other row keeps its minima, and so its scores, at that
-        step. The minima and class ids are those of one ``insert`` each.
+        Each step logs the stored rows whose ``d_same`` or ``d_other`` that
+        insertion lowered, ascending, then its new row, which is one more than
+        the previous step's. ``d_same`` and ``d_other`` are those rows' minima
+        as they stood right after that step. Every other row keeps its minima,
+        and so its scores, at that step. The minima and class ids are those of
+        one ``insert`` each. An empty stream gives three empty arrays.
 
         Every observation is checked before any is inserted. One whose
         dimension does not match the cache, or the first observation of an
@@ -200,19 +196,21 @@ class NnCache:
             xs.append(x)
             labels.append(int(obs.y))
         if not xs:
-            return []
+            return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         self._dim = dim
         n = self._n + len(xs)
         capacity = self._x.shape[0]
         if n > capacity:
             self._reserve(max(n, 2 * capacity))
-        return [
+        blocks = [
             self._insert_block(xs[i : i + _BLOCK], labels[i : i + _BLOCK])
             for i in range(0, len(xs), _BLOCK)
         ]
+        d_same, d_other = np.concatenate([minima for _, minima in blocks], axis=1)
+        return np.concatenate([rows for rows, _ in blocks]), d_same, d_other
 
-    def _insert_block(self, xs: list, labels: list) -> tuple:
-        """Insert checked points into reserved storage; return their record.
+    def _insert_block(self, xs: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
+        """Insert checked points into reserved storage; return their log.
 
         The block's rows, labels and squared norms are written first. Then the
         pairs (j, i) of its j-th point and every row i before it that need an
@@ -225,7 +223,7 @@ class NnCache:
 
         Commit. A step writes a distance only where it is below the current
         minimum, and those rows, then the new one, are the step's rows in the
-        record, gathered with their minima right after the write.
+        log, gathered with their minima (a 2 x m array) right after the write.
         Observations are finite, so a distance is finite or +inf and never
         NaN, and the write is bit for bit what ``np.minimum`` would store.
         """
@@ -270,8 +268,7 @@ class NnCache:
             step_rows.append(changed)
             minima.append(nearest[:, changed])
         self._n = n
-        d_same, d_other = np.concatenate(minima, axis=1)
-        return [r.size for r in step_rows], np.concatenate(step_rows), d_same, d_other
+        return np.concatenate(step_rows), np.concatenate(minima, axis=1)
 
     def _screen(self, n0: int, n: int, out: np.ndarray) -> None:
         """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0.

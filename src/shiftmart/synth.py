@@ -46,6 +46,10 @@ _ROW_SUM_TOL = 1e-12
 # a config may ask for: 10**8 float64 values are 800 MB. The benchmark's
 # largest stream is 2000 x 256 floats; the USPS stream is 9298 x 256.
 _MAX_FLOATS = 10**8
+# Largest shift_magnitude a config may ask for. A concept shift moves the
+# objects by this much, and their squared distances across the changepoint
+# overflow from about 1.3e154 on.
+_MAX_SHIFT = 1e100
 
 
 @dataclass(frozen=True)
@@ -89,11 +93,11 @@ class ScenarioConfig:
         if (
             not isinstance(magnitude, numbers.Real)
             or isinstance(magnitude, bool)
-            or not math.isfinite(magnitude)
-            or magnitude < 0
+            # NaN fails the comparisons too
+            or not 0 <= magnitude <= _MAX_SHIFT
         ):
             raise ValueError(
-                f"shift_magnitude must be a finite nonnegative number, got {magnitude!r}"
+                f"shift_magnitude must be a number in [0, {_MAX_SHIFT:g}], got {magnitude!r}"
             )
         if self.scenario in _SHIFT_SCENARIOS:
             if self.changepoint is None:

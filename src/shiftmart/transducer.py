@@ -19,10 +19,10 @@ product of the concept and label test martingales a valid exchangeability
 martingale. Adding an observation changes the nearest-neighbour scores of
 earlier observations, so every step rescores exactly the rows whose
 distances that insertion lowered, and the new row. ``NnCache.extend`` logs
-those rows block by block, each block's rows are scored with one
-``nn_scores`` call per measure, and the class means come from one
-``np.bincount`` a step; the ranks then come from sorted score lists and class
-means and equal those of the two transducers on the full prefix, bit for bit.
+those rows for the whole stream, the log is scored with one ``nn_scores``
+call per measure, and the class means come from one ``np.bincount`` a step;
+the ranks then come from sorted score lists and class means and equal those
+of the two transducers on the full prefix, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -188,17 +189,18 @@ def interleave(
     every step the rows whose minima that insertion lowered, then the new
     row, with their ``d_same`` and ``d_other`` as they stood at that step.
     Each step rescores only those rows: one ``nn_scores`` call per measure
-    scores the logged rows of a block of steps, and ``nn_scores`` is
-    elementwise, so each score is the one its step would have computed. The
-    steps are then replayed in order. The
-    concept scores are kept in one sorted list per class (and one over all
-    rows for the black leg), so a rank is two bisections. The label leg
-    ranks the newest class mean among the class means: the class sizes are
-    Python ints, the sums come from one ``np.bincount`` over the
-    label-measure scores of the prefix, and the means are those of
-    ``class_means`` (see ``_rank_class_mean``). The counts are the exact
-    integers the transducers count, and scores are never NaN, so the
-    p-values are bit-identical to the transducers on the full prefix.
+    scores the whole log, and ``nn_scores`` is elementwise, so each score is
+    the one its step would have computed. The log is then replayed in one
+    loop: a row below the prefix length is a stored row whose score the step
+    changed, and the row equal to it is the step's new row. The concept
+    scores are kept in one sorted list per class (and one over all rows for
+    the black leg), so a rank is two bisections. The label leg ranks the
+    newest class mean among the class means: the class sizes are Python
+    ints, the sums come from one ``np.bincount`` over the label-measure
+    scores of the prefix, and the means are those of ``class_means`` (see
+    ``_rank_class_mean``). The counts are the exact integers the transducers
+    count, and scores are never NaN, so the p-values are bit-identical to the
+    transducers on the full prefix.
     """
     with_black = tau_black_src is not None
     with_label = label_measure is not None
@@ -212,7 +214,12 @@ def interleave(
     p_black, p_concept, p_label = (None if t is None else np.empty(len(stream)) for t in taus)
     tau_black, tau, tau_prime = (None if t is None else t.tolist() for t in taus)
     cache = NnCache()
-    records = cache.extend(stream)
+    rows, d_same, d_other = cache.extend(stream)
+    log = zip(
+        rows.tolist(),
+        nn_scores(concept_measure, d_same, d_other).tolist(),
+        nn_scores(label_measure, d_same, d_other).tolist() if with_label else repeat(None),
+    )
     labels = cache.labels
     # the class id and concept score of each row, and the label-measure scores
     row_class = labels.tolist()
@@ -223,44 +230,35 @@ def interleave(
     by_class: list[list[float]] = []
     overall: list[float] = []
     counts: list[int] = []
-    start = 0
-    for sizes, rows, d_same, d_other in records:
-        rows = rows.tolist()
-        scores = nn_scores(concept_measure, d_same, d_other).tolist()
-        if label_measure == concept_measure:
-            label_batch = scores
-        elif with_label:
-            label_batch = nn_scores(label_measure, d_same, d_other).tolist()
-        end = 0
-        for k, size in enumerate(sizes, start):
-            begin, end = end, end + size
-            # the rows whose minima step k lowered, then row k itself
-            for i, after in zip(rows[begin : end - 1], scores[begin : end - 1]):
-                before = concept_scores[i]
-                if before != after:
-                    concept_scores[i] = after
-                    _move(by_class[row_class[i]], before, after)
-                    if with_black:
-                        _move(overall, before, after)
-            score = scores[end - 1]
-            y = row_class[k]
-            # class ids are dense in order of arrival, so a new class takes the next
-            if y == len(by_class):
-                by_class.append([])
-                counts.append(0)
-            concept_scores.append(score)
-            insort(by_class[y], score)
-            if with_black:
-                insort(overall, score)
-                p_black[k] = _rank(overall, score, tau_black[k])
-            p_concept[k] = _rank(by_class[y], score, tau[k])
-            if with_label:
-                for i, s in zip(rows[begin:end], label_batch[begin:end]):
-                    label_scores[i] = s
-                counts[y] += 1
-                p_label[k] = _rank_class_mean(
-                    label_scores[: k + 1], labels[: k + 1], counts, y, tau_prime[k]
-                )
-        start += len(sizes)
+    for i, score, label_score in log:
+        if with_label:
+            label_scores[i] = label_score
+        k = len(concept_scores)
+        if i < k:
+            # a stored row whose minima step k lowered
+            before = concept_scores[i]
+            if before != score:
+                concept_scores[i] = score
+                _move(by_class[row_class[i]], before, score)
+                if with_black:
+                    _move(overall, before, score)
+            continue
+        # row k itself, the last row of step k
+        y = row_class[k]
+        # class ids are dense in order of arrival, so a new class takes the next
+        if y == len(by_class):
+            by_class.append([])
+            counts.append(0)
+        concept_scores.append(score)
+        insort(by_class[y], score)
+        if with_black:
+            insort(overall, score)
+            p_black[k] = _rank(overall, score, tau_black[k])
+        p_concept[k] = _rank(by_class[y], score, tau[k])
+        if with_label:
+            counts[y] += 1
+            p_label[k] = _rank_class_mean(
+                label_scores[: k + 1], labels[: k + 1], counts, y, tau_prime[k]
+            )
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

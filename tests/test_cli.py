@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from shiftmart.cli import (
     load_config,
     main,
 )
-from shiftmart.synth import _MAX_FLOATS
+from shiftmart.synth import _MAX_FLOATS, _MAX_SHIFT
 
 
 def usps_row(label, fill=0.25, n_features=256):
@@ -115,6 +116,22 @@ def test_loader_rejects_non_finite_labels(tmp_path, monkeypatch, capsys, label):
     assert "label.train:2" in capsys.readouterr().err
 
 
+def test_loader_refuses_a_byte_outside_ascii(tmp_path, monkeypatch, capsys):
+    train = tmp_path / "byte.train"
+    train.write_bytes((usps_row(3) + "\n").encode() + b"\xff" + (usps_row(3) + "\n").encode())
+    test = tmp_path / "ok.test"
+    test.write_text(usps_row(1) + "\n")
+    with pytest.raises(DataError, match=r"byte\.train:2: unparsable number"):
+        load_usps(str(train), str(test))
+    monkeypatch.chdir(tmp_path)
+    raw = scenario_config_dict()
+    raw["data"] = {"kind": "usps", "train_path": str(train), "test_path": str(test)}
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: {train}:2: ")
+
+
 # --- config --------------------------------------------------------------------
 
 
@@ -162,6 +179,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({"shared_randomization": 1}, {}, "shared_randomization"),
         ({"output": 5}, {}, "output"),
         ({"output": "traj\0.csv"}, {}, "output"),
+        ({"output": "\ud800.csv"}, {}, "output"),
         ({}, {"n_steps": 5.5}, "n_steps"),
         ({}, {"n_steps": True}, "n_steps"),
         ({}, {"dim": 2.5}, "dim"),
@@ -174,12 +192,15 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": True}, "shift_magnitude"),
         ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": "2"}, "shift_magnitude"),
         ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": -1.0}, "shift_magnitude"),
+        ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": 1e200}, "shift_magnitude"),
+        ({}, {"scenario": "label-shift", "changepoint": 20, "shift_magnitude": 1e200}, "shift_magnitude"),
     ],
     ids=[
         "shared-string",
         "shared-int",
         "output-int",
         "output-nul",
+        "output-surrogate",
         "n_steps-float",
         "n_steps-bool",
         "dim-float",
@@ -192,6 +213,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "shift-bool-concept",
         "shift-string",
         "shift-negative",
+        "shift-huge-concept",
+        "shift-huge-label",
     ],
 )
 def test_run_command_rejects_mistyped_config_values(
@@ -697,7 +720,9 @@ def test_sweep_rejects_an_out_dir_that_is_a_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "value", [0, True, None, ["a"], "zip\0data"], ids=["int", "bool", "null", "list", "nul"]
+    "value",
+    [0, True, None, ["a"], "zip\0data", "\ud800x"],
+    ids=["int", "bool", "null", "list", "nul", "surrogate"],
 )
 @pytest.mark.parametrize("field", ["train_path", "test_path"])
 def test_usps_paths_must_be_strings(tmp_path, capsys, usps_files, field, value):
@@ -724,6 +749,17 @@ def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: config {path}")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: config {path} is not UTF-8")
 
 
 @pytest.mark.parametrize(
@@ -754,6 +790,17 @@ def test_scenario_at_the_size_cap_is_accepted():
     side = math.isqrt(_MAX_FLOATS)
     config = ScenarioConfig("iid", n_steps=side, n_classes=side, dim=side)
     assert config.n_steps * config.dim == config.n_classes * config.dim == _MAX_FLOATS
+
+
+@pytest.mark.parametrize("scenario", ["concept-shift", "label-shift"])
+def test_shift_at_the_magnitude_cap_runs_without_warnings(scenario):
+    # at 1e200 the squared distances across a concept shift overflowed
+    data = ScenarioConfig(scenario, n_steps=20, changepoint=10, shift_magnitude=_MAX_SHIFT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_experiment(ExperimentConfig(data=data))
+    assert table.n_steps == 20
+    assert np.isfinite(table.log10_blue).all()
 
 
 # --- run flags override the JSON fields of the same name ------------------------------
@@ -833,8 +880,11 @@ def fuzz_base_config():
     }
 
 
-# no "/" in generated text: an output path must stay inside the run's directory
-_fuzz_text = st.text(alphabet=st.characters(blacklist_characters="/"), max_size=12)
+# no "/" in generated text: an output path must stay inside the run's directory;
+# lone surrogates, which the default alphabet leaves out, are drawn too
+_fuzz_text = st.text(
+    alphabet=st.characters(exclude_categories=(), exclude_characters="/"), max_size=12
+)
 _fuzz_scalars = (
     st.none()
     | st.booleans()

@@ -66,27 +66,26 @@ def assert_same_state(cache, reference, context):
 
 def extend_in_lockstep(cache, stream, reference, context):
     """Extend ``cache`` with ``stream`` and insert the same stream one point at
-    a time into ``reference``. At every step the logged rows must be the rows
-    whose minima the insertion lowered, ascending, then the new row, and the
-    logged minima the reference's at those rows; every block but the last
-    must hold ``_BLOCK`` steps."""
-    k = 0
-    for i, (sizes, rows, d_same, d_other) in enumerate(cache.extend(stream)):
-        assert len(sizes) == min(_BLOCK, len(stream) - i * _BLOCK), context
-        assert len(rows) == len(d_same) == len(d_other) == sum(sizes), context
-        end = 0
-        for size in sizes:
-            begin, end = end, end + size
-            same, other = reference.d_same.copy(), reference.d_other.copy()
-            reference.insert(stream[k])
-            lowered = (reference.d_same[:-1] != same) | (reference.d_other[:-1] != other)
-            expected = np.append(np.flatnonzero(lowered), reference.n - 1)
-            assert np.array_equal(rows[begin:end], expected), f"{context}, step {k}"
-            assert np.array_equal(d_same[begin:end], reference.d_same[expected]), f"{context}, step {k}"
-            assert np.array_equal(d_other[begin:end], reference.d_other[expected]), f"{context}, step {k}"
-            k += 1
-    assert k == len(stream), context
+    a time into ``reference``; return the log of ``extend``. Step by step, the
+    log must hold the rows whose minima the insertion lowered, ascending, then
+    the new row, and the logged minima must be the reference's at those rows."""
+    first = cache.n
+    log = rows, d_same, d_other = cache.extend(stream)
+    assert len(rows) == len(d_same) == len(d_other), context
+    end = 0
+    for k, obs in enumerate(stream):
+        # a step ends at its new row, which no earlier step can log
+        begin, end = end, int(np.flatnonzero(rows == first + k)[0]) + 1
+        same, other = reference.d_same.copy(), reference.d_other.copy()
+        reference.insert(obs)
+        lowered = (reference.d_same[:-1] != same) | (reference.d_other[:-1] != other)
+        expected = np.append(np.flatnonzero(lowered), reference.n - 1)
+        assert np.array_equal(rows[begin:end], expected), f"{context}, step {k}"
+        assert np.array_equal(d_same[begin:end], reference.d_same[expected]), f"{context}, step {k}"
+        assert np.array_equal(d_other[begin:end], reference.d_other[expected]), f"{context}, step {k}"
+    assert end == len(rows), context
     assert_same_state(cache, reference, context)
+    return log
 
 
 def block_streams():
@@ -113,8 +112,13 @@ def test_extend_matches_one_at_a_time_inserts_and_the_full_scan():
         head = (threshold_rows - 1) % _BLOCK
         assert (n - head) % _BLOCK
         cache, reference = NnCache(), NnCache()
-        extend_in_lockstep(cache, stream[:head], reference, context)
-        extend_in_lockstep(cache, stream[head:], reference, context)
+        logs = [
+            extend_in_lockstep(cache, stream[:head], reference, context),
+            extend_in_lockstep(cache, stream[head:], reference, context),
+        ]
+        # the two calls log what one call on the whole stream logs
+        for got, want in zip(zip(*logs), NnCache().extend(stream)):
+            assert np.array_equal(np.concatenate(got), want), context
         d_same, d_other = nn_distances_bruteforce(points, labels)
         assert np.array_equal(cache.d_same, d_same), context
         assert np.array_equal(cache.d_other, d_other), context
@@ -152,13 +156,18 @@ def test_extend_stops_at_a_mismatched_dimension_mid_block():
     assert np.array_equal(cache.d_other, d_other)
 
 
+def assert_empty_log(log):
+    assert len(log) == 3
+    assert all(isinstance(a, np.ndarray) and a.shape == (0,) for a in log)
+
+
 def test_extend_of_an_empty_stream_changes_nothing():
     cache = NnCache()
-    assert cache.extend([]) == []
+    assert_empty_log(cache.extend([]))
     assert cache.n == 0 and cache.dim is None
     stream = make_stream(np.arange(6.0), [0, 1, 0, 1, 1, 0])
     cache, reference = fill_cache(stream), fill_cache(stream)
-    assert cache.extend(iter([])) == []
+    assert_empty_log(cache.extend(iter([])))
     assert cache.dim == 1
     assert_same_state(cache, reference, "after an empty extend")
 
@@ -167,13 +176,11 @@ def test_extend_takes_a_one_shot_iterator():
     rng = np.random.default_rng(9)
     stream = make_stream(rng.normal(size=(2 * _BLOCK + 3, 4)), rng.integers(0, 3, size=2 * _BLOCK + 3))
     cache, reference = NnCache(), NnCache()
-    records = cache.extend(obs for obs in stream)
+    log = cache.extend(obs for obs in stream)
     expected = reference.extend(stream)
-    assert len(records) == len(expected) == 3
-    for got, want in zip(records, expected):
-        assert got[0] == want[0]
-        for a, b in zip(got[1:], want[1:]):
-            assert np.array_equal(a, b)
+    assert len(log) == len(expected) == 3
+    for got, want in zip(log, expected):
+        assert np.array_equal(got, want)
     assert_same_state(cache, reference, "after a generator extend")
 
 
