@@ -49,6 +49,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .core import real_field
+
 STRATEGY_TAGS = ("simple-jumper", "sleepy-jumper", "mixture-power")
 JUMPER_EPSILONS = (-1.0, 0.0, 1.0)
 
@@ -96,13 +98,11 @@ def initial_state(
     """Fresh state (capital exactly 1) for one of the strategy tags."""
     if strategy_tag not in STRATEGY_TAGS:
         raise ValueError(f"unknown strategy tag {strategy_tag!r}")
-    if not 0.0 < jump_rate <= 1.0:
-        raise ValueError(f"jump_rate must lie in (0, 1], got {jump_rate}")
     shares = (1.0 / 3.0,) * 3 if strategy_tag != "mixture-power" else ()
     return BettingState(
         strategy_tag=strategy_tag,
-        jump_rate=float(jump_rate),
-        reluctance=float(reluctance),
+        jump_rate=real_field("jump_rate", jump_rate, 0.0, 1.0, open_low=True),
+        reluctance=real_field("reluctance", reluctance, 0.0),
         shares=shares,
     )
 
@@ -152,16 +152,9 @@ def _mixture_log10_capital(n_bets, log_p_sums):
     return out
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p-value must lie in [0, 1], got {p}")
-    return p
-
-
 def bet_step(state: BettingState, p: float) -> BettingState:
     """Advance one strategy state by one p-value."""
-    p = _check_p(p)
+    p = real_field("p-value", p, 0.0, 1.0)
     if state.strategy_tag == "mixture-power":
         n_bets = state.n_bets + 1
         log_p_sum = state.log_p_sum + math.log(max(p, _MIXTURE_CLAMP))

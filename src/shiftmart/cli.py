@@ -29,7 +29,6 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import os
 import sys
 import typing
@@ -39,7 +38,7 @@ import numpy as np
 
 from .betting import STRATEGY_TAGS, initial_state, product_martingale, run_martingale
 from .conformity import NN_VARIANTS
-from .core import Observation, RandomSource
+from .core import Observation, RandomSource, integer_field
 from .synth import ScenarioConfig, generate, uniformity_report
 from .transducer import interleave
 
@@ -152,11 +151,6 @@ class UspsPaths:
                 raise ConfigError(f"{name} must be a path string, got {value!r}")
 
 
-def _is_real(value) -> bool:
-    """True for real numbers; JSON ``true``/``false`` arrive as bools and are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a data source plus the three run components."""
@@ -176,14 +170,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown concept_measure {self.concept_measure!r}")
         if self.label_measure is not None and self.label_measure not in NN_VARIANTS:
             raise ConfigError(f"unknown label_measure {self.label_measure!r}")
-        if self.strategy not in STRATEGY_TAGS:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if not _is_real(self.jump_rate) or not 0.0 < self.jump_rate <= 1.0:
-            raise ConfigError(f"jump_rate must be a number in (0, 1], got {self.jump_rate!r}")
-        if not _is_real(self.reluctance) or not 0.0 <= self.reluctance:
-            raise ConfigError(f"reluctance must be a non-negative number, got {self.reluctance!r}")
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        try:
+            # the strategy's fields are checked by building the state a run starts from
+            state = initial_state(self.strategy, self.jump_rate, self.reluctance)
+            seed = integer_field("seed", self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "jump_rate", state.jump_rate)
+        object.__setattr__(self, "reluctance", state.reluctance)
+        object.__setattr__(self, "seed", seed)
         shared = self.shared_randomization
         if not isinstance(shared, bool):
             raise ConfigError(f"shared_randomization must be a bool, got {shared!r}")
@@ -192,6 +187,7 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)}
+_DATA_KINDS = {"usps": UspsPaths, "scenario": ScenarioConfig}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -207,19 +203,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(data_raw, dict) or "kind" not in data_raw:
         raise ConfigError("'data' must be an object with a 'kind' field")
     kind = data_raw["kind"]
+    if not isinstance(kind, str) or kind not in _DATA_KINDS:
+        raise ConfigError(f"unknown data kind {kind!r}")
+    fields = {k: v for k, v in data_raw.items() if k != "kind"}
     try:
-        if kind == "usps":
-            data = UspsPaths(data_raw["train_path"], data_raw["test_path"])
-        elif kind == "scenario":
-            fields = {k: v for k, v in data_raw.items() if k != "kind"}
-            if "label_transition" in fields and fields["label_transition"] is not None:
-                fields["label_transition"] = tuple(
-                    tuple(row) for row in fields["label_transition"]
-                )
-            data = ScenarioConfig(**fields)
-        else:
-            raise ConfigError(f"unknown data kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+        data = _DATA_KINDS[kind](**fields)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid data section: {exc}") from exc
     kwargs = {k: v for k, v in raw.items() if k != "data"}
     try:
@@ -235,10 +224,11 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal beyond Python's digit limit
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     if not isinstance(raw, dict):
@@ -486,14 +476,16 @@ def _cmd_sweep(args) -> int:
         (config, base + i, os.path.join(args.out_dir, f"seed{base + i}.csv"))
         for i in range(args.seeds)
     ]
-    if args.workers == 1:
+    # a fork-started pool starts every worker at the first task: no more than one per seed
+    workers = min(args.workers, len(tasks))
+    if workers == 1:
         for task in tasks:
             print(_sweep_worker(task))
     else:
         # imported here: the pool's modules add set-up time to every other command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for path in pool.map(_sweep_worker, tasks):
                 print(path)
     return EXIT_OK
@@ -524,28 +516,28 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1, else exit code 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 # ``report`` histograms pairs of p-values on a bins x bins grid, so the cap
 # keeps that grid at 10**6 cells (8 MB); 200000 bins would ask for 298 GiB.
 _MAX_BINS = 1000
+# one process per ``sweep`` worker: a mistyped ``--workers`` cannot start thousands
+_MAX_WORKERS = 64
 
 
-def _bin_count(text: str) -> int:
-    """argparse type for ``--bins``: an integer from 1 to ``_MAX_BINS``, else exit code 2."""
-    value = _positive_int(text)
-    if value > _MAX_BINS:
-        raise argparse.ArgumentTypeError(f"expected at most {_MAX_BINS} bins, got {text!r}")
-    return value
+def _count(cap: int | None = None):
+    """argparse type for a count: an integer from 1 up to ``cap``, else exit code 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"expected at most {cap}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -575,10 +567,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="fan one config out over many seeds")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--seeds", type=_positive_int, required=True, help="number of seeds")
+    sweep.add_argument("--seeds", type=_count(), required=True, help="number of seeds")
     sweep.add_argument("--seed", type=int, default=None, help="first seed (default: config seed)")
     sweep.add_argument("--out-dir", dest="out_dir", required=True)
-    sweep.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+    workers = min(os.cpu_count() or 1, _MAX_WORKERS)
+    sweep.add_argument("--workers", type=_count(_MAX_WORKERS), default=workers)
     sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser("report", help="uniformity report for a trajectory CSV")
@@ -588,16 +581,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("p_concept", "p_label", "both"),
         help="p-value column to report (default: every one the file has)",
     )
-    report.add_argument("--bins", type=_bin_count, default=10)
+    report.add_argument("--bins", type=_count(_MAX_BINS), default=10)
     report.set_defaults(func=_cmd_report)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code_of(action) -> int:
+    """``action()``, or exit code 2, 3 or 4 with the message on stderr if it
+    raises ConfigError, DataError or InvariantViolation."""
     try:
-        return args.func(args)
+        return action()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -607,6 +600,11 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    return exit_code_of(lambda: args.func(args))
 
 
 if __name__ == "__main__":

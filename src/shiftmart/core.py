@@ -4,17 +4,53 @@ A stream is a plain sequence of :class:`Observation` (feature vector plus
 class label). All randomness flows through :class:`RandomSource`, which
 derives named substreams from a single experiment seed, so every pipeline is
 replayable and the tie-breaking randomizations of the two martingale legs can
-be kept statistically independent of each other.
+be kept statistically independent of each other. Every number that arrives
+from outside is checked by :func:`integer_field` or :func:`real_field`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 Label = int
+
+
+def _as_float(value) -> float:
+    """``value`` as a float, or NaN unless it is a real number that a float can
+    hold. JSON ``true`` and ``false`` arrive as bools, which are not numbers."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def integer_field(name: str, value, low: int | None = None) -> int:
+    """``value`` as an ``int`` of at least ``low``, or ValueError naming ``name``.
+    Refuses bools, floats (2.0 too) and integers too large for a float."""
+    if not isinstance(value, numbers.Integral) or not math.isfinite(_as_float(value)):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
+def real_field(name: str, value, low=-math.inf, high=math.inf, *, open_low=False) -> float:
+    """``value`` as a finite ``float`` in ``[low, high]``, or in ``(low, high]``
+    with ``open_low``, else ValueError naming ``name``. Refuses bools,
+    non-numbers, NaN, +-inf and integers too large for a float."""
+    number = _as_float(value)
+    if math.isfinite(number) and (low < number if open_low else low <= number) and number <= high:
+        return number
+    span = f"{'(' if open_low else '['}{low:g}, {high:g}]"
+    raise ValueError(f"{name} must be a finite number in {span}, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True, eq=False)

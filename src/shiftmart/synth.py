@@ -28,14 +28,13 @@ markov-labels
 
 from __future__ import annotations
 
-import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import Observation, RandomSource
+from .core import Observation, RandomSource, integer_field, real_field
 
 SCENARIOS = ("iid", "concept-shift", "label-shift", "markov-labels")
 _SHIFT_SCENARIOS = ("concept-shift", "label-shift")
@@ -50,6 +49,8 @@ _MAX_FLOATS = 10**8
 # objects by this much, and their squared distances across the changepoint
 # overflow from about 1.3e154 on.
 _MAX_SHIFT = 1e100
+# what a label_transition matrix and each of its rows may be given as
+_ROWS = (list, tuple, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,24 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        """Check every field and store it normalised (ints, floats, tuples)."""
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        for name in ("n_steps", "n_classes", "dim", "changepoint", "seed"):
-            value = getattr(self, name)
-            if value is None and name in ("changepoint", "seed"):
-                continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be at least 2")
+        store = partial(object.__setattr__, self)
+        store("n_steps", integer_field("n_steps", self.n_steps, low=1))
+        store("n_classes", integer_field("n_classes", self.n_classes, low=2))
+        store("dim", integer_field("dim", self.dim))
+        for name in ("changepoint", "seed"):
+            if getattr(self, name) is not None:
+                store(name, integer_field(name, getattr(self, name)))
+        magnitude = real_field("shift_magnitude", self.shift_magnitude, 0.0, _MAX_SHIFT)
+        store("shift_magnitude", magnitude)
+        rows = self.label_transition
+        if rows is not None:
+            if not isinstance(rows, _ROWS) or not all(isinstance(row, _ROWS) for row in rows):
+                raise ValueError("label_transition must be a list of rows")
+            entry = partial(real_field, "label_transition", low=0.0, high=1.0)
+            store("label_transition", tuple(tuple(map(entry, row)) for row in rows))
         if self.dim < self.n_classes:
             raise ValueError(
                 "object dimension must be at least n_classes "
@@ -89,52 +96,26 @@ class ScenarioConfig:
                     f"{name} * dim must be at most {_MAX_FLOATS} floats "
                     f"(got {name}={getattr(self, name)}, dim={self.dim})"
                 )
-        magnitude = self.shift_magnitude
-        if (
-            not isinstance(magnitude, numbers.Real)
-            or isinstance(magnitude, bool)
-            # NaN fails the comparisons too
-            or not 0 <= magnitude <= _MAX_SHIFT
-        ):
-            raise ValueError(
-                f"shift_magnitude must be a number in [0, {_MAX_SHIFT:g}], got {magnitude!r}"
-            )
         if self.scenario in _SHIFT_SCENARIOS:
             if self.changepoint is None:
                 raise ValueError(f"{self.scenario} requires a changepoint")
             if not 0 < self.changepoint <= self.n_steps:
                 raise ValueError("changepoint must satisfy 0 < changepoint <= n_steps")
         if self.scenario == "markov-labels":
-            if self.label_transition is None:
+            k = self.n_classes
+            matrix = self.label_transition
+            if matrix is None:
                 raise ValueError("markov-labels requires a label_transition matrix")
-            entries = np.asarray(self.label_transition, dtype=object)
-            if entries.shape != (self.n_classes, self.n_classes):
-                raise ValueError(
-                    f"label_transition must be {self.n_classes}x{self.n_classes}"
-                )
-            # a float64 conversion would read null as NaN and "0.5" or true as numbers
-            for entry in entries.flat:
-                if (
-                    not isinstance(entry, numbers.Real)
-                    or isinstance(entry, bool)
-                    or not math.isfinite(entry)
-                ):
-                    raise ValueError(
-                        f"label_transition entries must be finite numbers, got {entry!r}"
-                    )
-            matrix = entries.astype(np.float64)
-            if (matrix < 0).any():
-                raise ValueError("label_transition entries must be nonnegative")
-            # written so that a NaN row sum fails too
-            if not (np.abs(matrix.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
+            if len(matrix) != k or any(len(row) != k for row in matrix):
+                raise ValueError(f"label_transition must be {k}x{k}")
+            row_sums = np.array(matrix).sum(axis=1)
+            if (np.abs(row_sums - 1.0) > _ROW_SUM_TOL).any():
                 raise ValueError("label_transition rows must sum to 1")
 
 
 def class_centres(n_classes: int, dim: int) -> np.ndarray:
     """Per-class centres, the means of the object distributions: scaled basis
-    vectors with pairwise distance 4."""
-    if dim < n_classes:
-        raise ValueError("dim must be at least n_classes")
+    vectors with pairwise distance 4; ``dim`` is at least ``n_classes``."""
     means = np.zeros((n_classes, dim))
     scale = _INTER_CLASS_DISTANCE / np.sqrt(2.0)
     means[np.arange(n_classes), np.arange(n_classes)] = scale
@@ -162,9 +143,7 @@ def generate(config: ScenarioConfig, source: RandomSource) -> list[Observation]:
     if config.scenario == "label-shift":
         skew_cum = np.cumsum(_skewed_marginals(k, config.shift_magnitude)).tolist()
     if config.scenario == "markov-labels":
-        transition_cum = np.cumsum(
-            np.asarray(config.label_transition, dtype=np.float64), axis=1
-        ).tolist()
+        transition_cum = np.cumsum(config.label_transition, axis=1).tolist()
 
     stream = []
     label = None

@@ -35,15 +35,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import Observation, RandomSource
+from .core import Observation, RandomSource, real_field
 from .conformity import NN_VARIANTS, NnCache, class_means, nn_scores
-
-
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return tau
 
 
 def p_conformal(scores, tau: float) -> float:
@@ -53,7 +46,7 @@ def p_conformal(scores, tau: float) -> float:
     itself included in the tie count, so p >= tau/n > 0 whenever tau > 0.
     Ties use exact floating-point equality.
     """
-    tau = _check_tau(tau)
+    tau = real_field("tau", tau, 0.0, 1.0)
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:
         raise ValueError("scores must be non-empty")
@@ -70,7 +63,7 @@ def p_label_conditional(scores, labels, tau: float) -> float:
     denominator is the class count, at least 1 because the newest observation
     qualifies.
     """
-    tau = _check_tau(tau)
+    tau = real_field("tau", tau, 0.0, 1.0)
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if s.size == 0:

@@ -57,8 +57,17 @@ def test_invalid_inputs_rejected():
         initial_state("unknown-strategy")
     with pytest.raises(ValueError):
         initial_state("simple-jumper", jump_rate=0.0)
-    with pytest.raises(ValueError):
-        bet_step(initial_state("simple-jumper"), 1.5)
+    for p in (1.5, True, float("nan"), "0.5"):
+        with pytest.raises(ValueError, match="p-value"):
+            bet_step(initial_state("simple-jumper"), p)
+    for field, value in (
+        ("jump_rate", True),
+        ("jump_rate", 10**400),
+        ("reluctance", -1.0),
+        ("reluctance", float("inf")),
+    ):
+        with pytest.raises(ValueError, match=field):
+            initial_state("sleepy-jumper", **{field: value})
 
 
 # --- trajectories ------------------------------------------------------------

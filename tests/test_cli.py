@@ -170,6 +170,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
     for bad in ({"jump_rate": True}, {"reluctance": -0.5}, {"seed": "7"}, {"seed": 1.5}):
         with pytest.raises(ConfigError):
             config_from_dict(scenario_config_dict(**bad))
+    usps = {"kind": "usps", "train_path": "a", "test_path": "b", "trian_path": "c"}
+    with pytest.raises(ConfigError, match="trian_path"):
+        config_from_dict(scenario_config_dict(data=usps))
 
 
 @pytest.mark.parametrize(
@@ -194,6 +197,10 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": -1.0}, "shift_magnitude"),
         ({}, {"scenario": "concept-shift", "changepoint": 20, "shift_magnitude": 1e200}, "shift_magnitude"),
         ({}, {"scenario": "label-shift", "changepoint": 20, "shift_magnitude": 1e200}, "shift_magnitude"),
+        ({"reluctance": 10**400}, {}, "reluctance"),
+        ({"reluctance": float("inf")}, {}, "reluctance"),
+        ({"seed": 10**400}, {}, "seed"),
+        ({}, {"seed": -(10**400)}, "seed"),
     ],
     ids=[
         "shared-string",
@@ -215,6 +222,10 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "shift-negative",
         "shift-huge-concept",
         "shift-huge-label",
+        "reluctance-huge-int",
+        "reluctance-infinity",
+        "seed-huge-int",
+        "data-seed-huge-int",
     ],
 )
 def test_run_command_rejects_mistyped_config_values(
@@ -232,13 +243,16 @@ def test_run_command_rejects_mistyped_config_values(
 
 
 @pytest.mark.parametrize(
-    "entry", [None, "nan", "0.5", True], ids=["null", "nan-string", "number-string", "bool"]
+    "entry",
+    [None, "nan", "0.5", True, 10**400],
+    ids=["null", "nan-string", "number-string", "bool", "huge-int"],
 )
 def test_run_command_rejects_a_transition_entry_that_is_not_a_number(
     tmp_path, monkeypatch, capsys, entry
 ):
     # each row would sum to 1 if the entry were read as 0.5 (or 1.0 for true
-    # in the first column); NaN from null or "nan" used to pass the row sums
+    # in the first column); NaN from null or "nan" used to pass the row sums,
+    # and an integer too large for a float overflowed the finiteness check
     monkeypatch.chdir(tmp_path)
     raw = scenario_config_dict()
     row = [0.0, entry] if entry is True else [0.5, entry]
@@ -320,6 +334,41 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     result = subprocess.run(command, env=source_env(), capture_output=True, text=True)
     assert result.returncode == EXIT_CONFIG
     assert result.stderr.startswith("config error")
+
+
+# --- scripts ---------------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    command = [sys.executable, str(SCRIPTS / name), *map(str, args)]
+    return subprocess.run(command, env=source_env(), capture_output=True, text=True)
+
+
+def test_run_usps_script_runs_and_maps_errors_to_exit_codes(tmp_path, usps_files):
+    out = tmp_path / "usps.csv"
+    result = run_script("run_usps.py", *usps_files, "--out", out)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert "processed 4 observations" in result.stdout
+    # flags left out keep the config defaults
+    assert read_trajectory_csv(str(out)) == run_experiment(ExperimentConfig(UspsPaths(*usps_files)))
+    result = run_script("run_usps.py", *usps_files, "--jump-rate", "5")
+    assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+    assert result.stderr.startswith("config error: jump_rate")
+    result = run_script("run_usps.py", tmp_path / "missing", usps_files[1])
+    assert (result.returncode, result.stdout) == (EXIT_DATA, "")
+    assert result.stderr.startswith(f"data error: cannot open {tmp_path / 'missing'}")
+
+
+def test_calibration_script_runs_and_maps_errors_to_exit_codes():
+    args = ["--seeds", 1, "--n-steps", 30, "--dims", 2, "--jump-rates", 0.01]
+    result = run_script("calibrate_shift_separation.py", *args)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout.startswith("dim=2 measure=ratio J=0.01: concept-shift red=")
+    result = run_script("calibrate_shift_separation.py", *args, "--magnitude", "-1")
+    assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+    assert "shift_magnitude" in result.stderr
 
 
 # --- run_experiment --------------------------------------------------------------
@@ -550,6 +599,54 @@ def test_sweep_command_writes_per_seed_files(tmp_path):
     assert tables[1] == solo
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the process pools that ``sweep`` builds; a stand-in
+    records them and runs the tasks in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize("seeds, workers, pool", [(3, 8, 3), (3, 2, 2), (1, 64, None)])
+def test_sweep_pool_has_no_more_workers_than_seeds(tmp_path, pool_sizes, seeds, workers, pool):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    argv = ["sweep", "--config", config_path, "--seeds", str(seeds), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--workers", str(workers)]) == EXIT_OK
+    # a single seed runs in this process, without a pool
+    assert pool_sizes == ([] if pool is None else [pool])
+    assert sorted(p.name for p in tmp_path.glob("seed*.csv")) == [
+        f"seed{s}.csv" for s in range(1, seeds + 1)
+    ]
+
+
+def test_sweep_refuses_more_workers_than_the_cap(tmp_path, pool_sizes, capsys):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    argv = ["sweep", "--config", config_path, "--seeds", "2", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--workers", str(cli._MAX_WORKERS + 1)])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"expected at most {cli._MAX_WORKERS}" in capsys.readouterr().err
+    assert pool_sizes == []
+    assert cli._build_parser().parse_args(argv).workers <= cli._MAX_WORKERS
+
+
 def test_sweep_rejects_bad_seed_and_counts(tmp_path, capsys):
     out_dir = str(tmp_path / "sweep")
     bad_seed = write_config(tmp_path, scenario_config_dict(seed="7"))
@@ -762,6 +859,19 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert captured.err.startswith(f"config error: config {path} is not UTF-8")
 
 
+def test_integer_literal_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.dumps refuses to write it, and json.load raises a plain ValueError
+    path = tmp_path / "long.json"
+    data = '{"kind": "scenario", "scenario": "iid", "n_steps": 20}'
+    path.write_text(f'{{"data": {data}, "seed": {"1" * 4301}}}')
+    with pytest.raises(ConfigError, match="4300 digits"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: config {path} is not valid JSON")
+
+
 @pytest.mark.parametrize(
     "sizes, field",
     [
@@ -801,6 +911,26 @@ def test_shift_at_the_magnitude_cap_runs_without_warnings(scenario):
         table = run_experiment(ExperimentConfig(data=data))
     assert table.n_steps == 20
     assert np.isfinite(table.log10_blue).all()
+
+
+@pytest.mark.parametrize("magnitude", [2, 10**50])
+@pytest.mark.parametrize("scenario", ["concept-shift", "label-shift"])
+def test_an_integer_shift_magnitude_runs_as_the_same_float(tmp_path, capsys, scenario, magnitude):
+    # the label-shift marginals overflowed on 10**50 as a JSON integer
+    outputs = []
+    for value in (magnitude, float(magnitude)):
+        raw = scenario_config_dict()
+        raw["data"] = {
+            "kind": "scenario",
+            "scenario": scenario,
+            "n_steps": 30,
+            "changepoint": 15,
+            "shift_magnitude": value,
+        }
+        assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(cli.CSV_HEADER)
 
 
 # --- run flags override the JSON fields of the same name ------------------------------
@@ -867,6 +997,7 @@ def fuzz_base_config():
             "dim": 2,
             "changepoint": 10,
             "shift_magnitude": 2.0,
+            "label_transition": None,
             "seed": 3,
         },
         "concept_measure": "ratio",
@@ -880,6 +1011,15 @@ def fuzz_base_config():
     }
 
 
+def test_fuzz_base_config_sets_every_field():
+    raw = fuzz_base_config()
+    assert set(raw) == {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert set(raw["data"]) == {"kind"} | {
+        field.name for field in dataclasses.fields(ScenarioConfig)
+    }
+    assert config_from_dict(raw).output == "traj.csv"
+
+
 # no "/" in generated text: an output path must stay inside the run's directory;
 # lone surrogates, which the default alphabet leaves out, are drawn too
 _fuzz_text = st.text(
@@ -889,6 +1029,8 @@ _fuzz_scalars = (
     st.none()
     | st.booleans()
     | st.integers(-3, 40)
+    # beyond int64, and beyond what a float holds
+    | st.sampled_from([2**63, -(2**63), 10**50, -(10**50), 10**400, -(10**400)])
     | st.floats(allow_nan=True, allow_infinity=True)
     | _fuzz_text
 )

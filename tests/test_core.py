@@ -1,9 +1,15 @@
 """Tests for domain types and the seeded substream source."""
 
+import math
+
 import numpy as np
 import pytest
 
 from shiftmart import Observation, RandomSource, ks_distance, ks_uniform_bound
+from shiftmart.core import integer_field, real_field
+
+# values that are not numbers, or not numbers a float can hold
+NOT_NUMBERS = [True, False, None, "1", [1], 10**400, -(10**400)]
 
 
 def test_same_seed_and_tag_replays_identically():
@@ -67,3 +73,52 @@ def test_observation_validates_inputs():
 
 def test_describe_names_seed_and_tag():
     assert RandomSource(42, "tau").describe() == "42:tau"
+
+
+@pytest.mark.parametrize("value", [1, np.int64(7), 2**63, -(2**63), 10**300])
+def test_integer_field_returns_a_python_int(value):
+    result = integer_field("n", value)
+    assert type(result) is int and result == value
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS + [2.0, 1.5, math.nan, math.inf])
+def test_integer_field_refuses_what_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="^n must be an integer, got "):
+        integer_field("n", value)
+
+
+def test_integer_field_refuses_values_below_low():
+    assert integer_field("n", 2, low=2) == 2
+    with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
+        integer_field("n", np.int64(1), low=2)
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.5, np.float32(0.25), np.int64(1), 1e-300])
+def test_real_field_returns_a_python_float(value):
+    result = real_field("x", value, 0.0, 1.0)
+    assert type(result) is float and result == value
+
+
+@pytest.mark.parametrize(
+    "value", NOT_NUMBERS + [math.nan, math.inf, -math.inf, np.float32("inf"), -1e-300, 1.5]
+)
+def test_real_field_refuses_what_is_not_a_finite_number_in_range(value):
+    with pytest.raises(ValueError, match=r"^x must be a finite number in \[0, 1\], got "):
+        real_field("x", value, 0.0, 1.0)
+
+
+def test_real_field_bounds():
+    # unbounded above, still finite
+    assert real_field("x", 1e300, 0.0) == 1e300
+    with pytest.raises(ValueError, match=r"^x must be a finite number in \[0, inf\], got inf$"):
+        real_field("x", math.inf, 0.0)
+    # an open lower end refuses the end itself
+    assert real_field("x", 1, 0.0, 1.0, open_low=True) == 1.0
+    with pytest.raises(ValueError, match=r"^x must be a finite number in \(0, 1\], got 0$"):
+        real_field("x", 0, 0.0, 1.0, open_low=True)
+
+
+def test_refused_values_are_shortened_in_the_message():
+    with pytest.raises(ValueError) as info:
+        integer_field("n", 10**400)
+    assert len(str(info.value)) < 80

@@ -56,3 +56,40 @@ def test_no_module_imports_another_modules_private_names(tmp_path):
     assert len(modules) >= 7
     found = {path.name: private_imports(path) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+_NUMBER_TYPES = {"Real", "Integral"}
+
+
+def number_types(path: Path) -> set[str]:
+    """The ``numbers.Real`` and ``numbers.Integral`` names that the module at
+    ``path`` uses, reached as ``numbers.X`` or imported from ``numbers``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found |= {alias.name for alias in node.names if alias.name in _NUMBER_TYPES}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "numbers"}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _NUMBER_TYPES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.add(node.attr)
+    return found
+
+
+def test_only_core_tests_the_type_of_a_number(tmp_path):
+    # every incoming number is checked by core.integer_field or core.real_field
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import numbers as n\n"
+        "from numbers import Integral\n"
+        "ok = isinstance(1, n.Real) and isinstance(1, Integral) and n.Complex\n"
+    )
+    assert number_types(sample) == {"Real", "Integral"}
+    found = {path.name: number_types(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {"core.py": {"Real", "Integral"}}

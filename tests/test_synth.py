@@ -43,6 +43,26 @@ def test_config_validation():
         ScenarioConfig("concept-shift", n_steps=10, changepoint=5, shift_magnitude=-1.0)
 
 
+def test_config_stores_normalised_fields():
+    config = ScenarioConfig(
+        "markov-labels",
+        n_steps=np.int64(10),
+        label_transition=[[0, 1], np.array([0.5, 0.5])],
+        shift_magnitude=3,
+        seed=np.int64(4),
+    )
+    assert config.label_transition == ((0.0, 1.0), (0.5, 0.5))
+    assert {type(v) for row in config.label_transition for v in row} == {float}
+    assert type(config.shift_magnitude) is float
+    assert type(config.n_steps) is type(config.seed) is int
+    assert hash(config) == hash(dataclasses.replace(config))
+    for rows in ([0.5, 0.5], "ab", 5):
+        with pytest.raises(ValueError, match="label_transition must be a list of rows"):
+            ScenarioConfig("markov-labels", n_steps=10, label_transition=rows)
+    with pytest.raises(ValueError, match="label_transition must be 2x2"):
+        ScenarioConfig("markov-labels", n_steps=10, label_transition=[[1.0], [0.5, 0.5]])
+
+
 def test_class_centres_sit_at_distance_four():
     means = class_centres(3, 5)
     for i in range(3):

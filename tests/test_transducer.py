@@ -60,8 +60,11 @@ def test_infinite_scores_are_ranked():
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         p_conformal([], 0.5)
-    with pytest.raises(ValueError):
-        p_conformal([1.0], 1.5)
+    for tau in (1.5, -0.5, True, float("nan"), None):
+        with pytest.raises(ValueError, match="tau"):
+            p_conformal([1.0], tau)
+        with pytest.raises(ValueError, match="tau"):
+            p_label_conditional([1.0], [0], tau)
     with pytest.raises(ValueError):
         p_label_conditional([1.0, 2.0], [0], 0.5)
 
