@@ -80,6 +80,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jump-rates", type=float, nargs="+", default=[0.001, 0.01])
     parser.add_argument("--measures", nargs="+", default=["ratio"])
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     return exit_code_of(lambda: calibrate(args))
 
 

@@ -27,12 +27,13 @@ mixture-power
     the p-values only through n and sum_i log p_i; the state keeps these two
     sufficient statistics, so a step costs O(1).
 
-Each strategy has one transition function, which ``bet_step`` and
-``run_martingale`` both call, so the two agree bit for bit. The jumper's
-takes one p-value; the mixture's maps a whole array of (bet count,
-sum of log p) pairs to capitals, in chunks of 128 rows, so
-``run_martingale`` bets on a whole p-value array in one pass and
-``bet_step`` calls it on one row.
+Each strategy steps in one place, ``_advance``, which takes a state and
+checked p-values and returns the capital after each one and the state it
+ends in. The jumpers loop ``_jumper_step`` over the values; the mixture
+takes the running sums of the clamped logs and maps every (bet count,
+sum of log p) pair to its capital in chunks of 128 rows. ``run_martingale``
+is ``_advance`` on a whole p-value array and ``bet_step`` is ``_advance`` on
+one value, so the two agree bit for bit.
 
 ``product_martingale`` multiplies two trajectories (adds them in log10);
 this is only a valid martingale when the legs were randomized from disjoint
@@ -152,22 +153,40 @@ def _mixture_log10_capital(n_bets, log_p_sums):
     return out
 
 
-def bet_step(state: BettingState, p: float) -> BettingState:
-    """Advance one strategy state by one p-value."""
-    p = real_field("p-value", p, 0.0, 1.0)
+def _advance(state: BettingState, ps: list) -> tuple[np.ndarray, BettingState]:
+    """The log10 capital after each of the checked p-values ``ps``, and the end state.
+
+    Advancing over ``ps`` and then over more values gives the bits of
+    advancing over both at once: the jumper's shares and capital and the
+    mixture's running sum of logs are carried from value to value in the
+    same order either way, and each mixture row is evaluated on its own.
+    """
+    if not ps:
+        return np.empty(0), state
     if state.strategy_tag == "mixture-power":
-        n_bets = state.n_bets + 1
-        log_p_sum = state.log_p_sum + math.log(max(p, _MIXTURE_CLAMP))
-        capital = _mixture_log10_capital(np.array([n_bets], np.float64), np.array([log_p_sum]))
-        return replace(
-            state, n_bets=n_bets, log_p_sum=log_p_sum, log10_capital=float(capital[0])
+        log_ps = (math.log(max(p, _MIXTURE_CLAMP)) for p in ps)
+        log_p_sums = accumulate(log_ps, initial=state.log_p_sum)
+        log_p_sums = np.fromiter(log_p_sums, np.float64, len(ps) + 1)[1:]
+        n_bets = state.n_bets + len(ps)
+        capitals = _mixture_log10_capital(
+            np.arange(state.n_bets + 1, n_bets + 1, dtype=np.float64), log_p_sums
         )
-    shares, growth = _jumper_step(state.shares, state.jump_rate, p)
-    return replace(
-        state,
-        shares=shares,
-        log10_capital=state.log10_capital + math.log10(growth),
-    )
+        end = {"n_bets": n_bets, "log_p_sum": float(log_p_sums[-1])}
+    else:
+        shares = state.shares
+        log10_capital = state.log10_capital
+        capitals = np.empty(len(ps))
+        for k, p in enumerate(ps):
+            shares, growth = _jumper_step(shares, state.jump_rate, p)
+            log10_capital += math.log10(growth)
+            capitals[k] = log10_capital
+        end = {"shares": shares}
+    return capitals, replace(state, log10_capital=float(capitals[-1]), **end)
+
+
+def bet_step(state: BettingState, p: float) -> BettingState:
+    """Advance one strategy state by one p-value, as ``run_martingale`` does."""
+    return _advance(state, [real_field("p-value", p, 0.0, 1.0)])[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +216,8 @@ def run_martingale(
 
     The p-values are converted to float64 once and checked in one pass; the
     first one outside [0, 1] (or NaN) raises ValueError naming it. The
-    jumpers then loop over the values; the mixture takes the running sums
-    of the clamped logs in order and evaluates every capital in one chunked
-    pass. Every entry has the bits of the ``bet_step`` chain.
+    capitals then come from one ``_advance`` call, so every entry has the
+    bits of the ``bet_step`` chain.
     """
     if not isinstance(p_values, np.ndarray):
         p_values = list(p_values)
@@ -209,23 +227,8 @@ def run_martingale(
         raise ValueError(
             f"p-value must lie in [0, 1], got {float(p_values[np.argmin(in_range)])}"
         )
-    ps = p_values.tolist()
-    out = np.empty(len(ps) + 1)
-    out[0] = state.log10_capital
-    if state.strategy_tag == "mixture-power":
-        log_ps = (math.log(max(p, _MIXTURE_CLAMP)) for p in ps)
-        log_p_sums = accumulate(log_ps, initial=state.log_p_sum)
-        log_p_sums = np.fromiter(log_p_sums, np.float64, len(ps) + 1)[1:]
-        n_bets = np.arange(state.n_bets + 1, state.n_bets + len(ps) + 1, dtype=np.float64)
-        out[1:] = _mixture_log10_capital(n_bets, log_p_sums)
-    else:
-        shares = state.shares
-        log10_capital = state.log10_capital
-        for k, p in enumerate(ps):
-            shares, growth = _jumper_step(shares, state.jump_rate, p)
-            log10_capital += math.log10(growth)
-            out[k + 1] = log10_capital
-    return MartingaleTrajectory(out, provenance)
+    capitals, _ = _advance(state, p_values.tolist())
+    return MartingaleTrajectory(np.concatenate(([state.log10_capital], capitals)), provenance)
 
 
 def product_martingale(

@@ -79,9 +79,10 @@ class NnCache:
     Each insertion folds the new point's distances to the stored points into
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
-    bit-identical to a full scan. ``extend`` inserts a stream in blocks of
-    up to ``_BLOCK`` points and returns a log of the rows whose minima each
-    step changed; ``insert`` is a stream of one. Small blocks and caches
+    bit-identical to a full scan. ``extend`` writes a stream's rows, class
+    ids and squared norms into the storage once, folds them into the minima
+    in blocks of up to ``_BLOCK`` rows and returns a log of the rows whose
+    minima each step changed; ``insert`` is a stream of one. Small blocks and caches
     evaluate the formula on every pair of a new point and an earlier one.
     Once a block's product with the stored rows reaches ``SCREEN_MIN_FLOATS``
     multiply-adds, that one matrix product screens the stored rows against
@@ -179,9 +180,13 @@ class NnCache:
 
         Every observation is checked before any is inserted. One whose
         dimension does not match the cache, or the first observation of an
-        empty cache, raises ValueError, and a label that is not an integer
-        raises too; either way the cache is left exactly as it was, its
-        dimension included. The storage grows at most once per call.
+        empty cache, raises ValueError, and so does a label that ``int``
+        refuses; either way the cache is left exactly as it was, its
+        dimension included. A label is taken as ``int(obs.y)``: an
+        ``Observation`` holds a checked one, but a duck-typed label of 1.5
+        joins class 1. The storage grows at most once per call, and the rows,
+        class ids and squared norms of the whole stream are written once,
+        before the first block.
         """
         dim = self._dim
         xs, labels = [], []
@@ -198,28 +203,34 @@ class NnCache:
         if not xs:
             return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         self._dim = dim
-        n = self._n + len(xs)
+        n0 = self._n
+        n = n0 + len(xs)
         capacity = self._x.shape[0]
         if n > capacity:
             self._reserve(max(n, 2 * capacity))
-        blocks = [
-            self._insert_block(xs[i : i + _BLOCK], labels[i : i + _BLOCK])
-            for i in range(0, len(xs), _BLOCK)
-        ]
+        new = self._x[n0:n]
+        new[:] = xs
+        class_ids = self._class_ids
+        self._labels[n0:n] = [class_ids.setdefault(y, len(class_ids)) for y in labels]
+        # einsum, like vdot and unlike @, does not warn when a norm overflows
+        # to inf, which only makes pairs candidates (see the screen)
+        np.einsum("ij,ij->i", new, new, out=self._norms[n0:n])
+        blocks = [self._insert_block(i, min(i + _BLOCK, n)) for i in range(n0, n, _BLOCK)]
+        self._n = n
         d_same, d_other = np.concatenate([minima for _, minima in blocks], axis=1)
         return np.concatenate([rows for rows, _ in blocks]), d_same, d_other
 
-    def _insert_block(self, xs: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
-        """Insert checked points into reserved storage; return their log.
+    def _insert_block(self, n0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fold the stored rows n0..n-1 into the minima; return their log.
 
-        The block's rows, labels and squared norms are written first. Then the
-        pairs (j, i) of its j-th point and every row i before it that need an
-        exact distance are found, all the distances are computed in one call,
-        and the steps are committed one at a time. While the block's product
-        with the stored rows stays below ``SCREEN_MIN_FLOATS`` multiply-adds,
-        every pair is exact. From there on, the pairs with an earlier point
-        of the same block are always exact, and the pairs with the rows
-        stored before the block pass ``_screen``.
+        The rows, class ids and squared norms are already written. The pairs
+        (j, i) of row n0 + j and every row i before it that need an exact
+        distance are found, all the distances are computed in one call, and
+        the steps are committed one at a time. While the block's product with
+        the rows before it stays below ``SCREEN_MIN_FLOATS`` multiply-adds,
+        every pair is exact. From there on, the pairs with an earlier row of
+        the same block are always exact, and the pairs with the rows before
+        n0 pass ``_screen``.
 
         Commit. A step writes a distance only where it is below the current
         minimum, and those rows, then the new one, are the step's rows in the
@@ -227,18 +238,9 @@ class NnCache:
         Observations are finite, so a distance is finite or +inf and never
         NaN, and the write is bit for bit what ``np.minimum`` would store.
         """
-        b = len(xs)
-        n0 = self._n
-        n = n0 + b
+        b = n - n0
         x = self._x
-        x[n0:n] = xs
-        class_ids = self._class_ids
-        self._labels[n0:n] = [class_ids.setdefault(y, len(class_ids)) for y in labels]
-        for r in range(n0, n):
-            # vdot, unlike @, does not warn when the norm overflows to inf,
-            # which only makes pairs candidates (see the screen)
-            self._norms[r] = np.vdot(x[r], x[r])
-        # the j-th point of the block meets rows n0 + j - 1 and before
+        # the j-th row of the block meets rows n0 + j - 1 and before
         pairs = np.arange(n) < np.arange(n0, n)[:, None]
         if b * n0 * self._dim >= SCREEN_MIN_FLOATS:
             self._screen(n0, n, pairs[:, :n0])
@@ -267,7 +269,6 @@ class NnCache:
             changed = np.concatenate((rows[seg][lower], (r,)))
             step_rows.append(changed)
             minima.append(nearest[:, changed])
-        self._n = n
         return np.concatenate(step_rows), np.concatenate(minima, axis=1)
 
     def _screen(self, n0: int, n: int, out: np.ndarray) -> None:

@@ -66,11 +66,8 @@ class Observation:
             raise ValueError(f"object must be a 1-D vector, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("object vector contains non-finite entries")
-        y = int(self.y)
-        if y < 0:
-            raise ValueError(f"label must be a non-negative integer, got {y}")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", integer_field("label", self.y, low=0))
 
 
 class RandomSource:

@@ -59,23 +59,17 @@ def p_conformal(scores, tau: float) -> float:
 def p_label_conditional(scores, labels, tau: float) -> float:
     """Rank-based p-value of the newest score within its own label class.
 
-    Counts are restricted to indices with the newest observation's label; the
-    denominator is the class count, at least 1 because the newest observation
-    qualifies.
+    ``p_conformal`` of the scores whose label is the newest observation's;
+    the denominator is the class count, at least 1 because the newest
+    observation qualifies.
     """
-    tau = real_field("tau", tau, 0.0, 1.0)
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if s.size == 0:
-        raise ValueError("scores must be non-empty")
     if s.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
-    mask = y == y[-1]
-    sub = s[mask]
-    newest = sub[-1]
-    less = int(np.count_nonzero(sub < newest))
-    equal = int(np.count_nonzero(sub == newest))
-    return (less + tau * equal) / sub.size
+    if s.size == 0:
+        raise ValueError("scores must be non-empty")
+    return p_conformal(s[y == y[-1]], tau)
 
 
 def _rank(ordered: list, score: float, tau: float) -> float:

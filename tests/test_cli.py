@@ -369,6 +369,9 @@ def test_calibration_script_runs_and_maps_errors_to_exit_codes():
     result = run_script("calibrate_shift_separation.py", *args, "--magnitude", "-1")
     assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
     assert "shift_magnitude" in result.stderr
+    result = run_script("calibrate_shift_separation.py", *args, "--seeds", "0")
+    assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+    assert "--seeds must be at least 1" in result.stderr
 
 
 # --- run_experiment --------------------------------------------------------------

@@ -67,8 +67,10 @@ def test_observation_validates_inputs():
         Observation(np.array([[1.0]]), 0)
     with pytest.raises(ValueError):
         Observation(np.array([np.nan]), 0)
-    with pytest.raises(ValueError):
-        Observation(np.array([0.0]), -1)
+    # a float or bool label is refused, not truncated to class 1
+    for label in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="label"):
+            Observation(np.array([0.0]), label)
 
 
 def test_describe_names_seed_and_tag():

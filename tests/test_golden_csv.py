@@ -1,10 +1,11 @@
-"""Golden outputs: the CSV of fixed jumper experiments, pinned by sha256.
+"""Golden outputs: the CSV of fixed experiments, pinned by sha256.
 
 A refactor of the step loop or of betting must leave these bytes unchanged.
 The configs cover independent and shared randomization, a run without the
 label leg, equal and different concept/label measures, the sleepy-jumper
-tag, and a d=64, K=10 stream long enough for the nearest-neighbour cache to
-switch to its screened insert (``SCREEN_MIN_FLOATS``).
+tag, the mixture-power strategy, and a d=64, K=10 stream long enough for the
+nearest-neighbour cache to switch to its screened insert
+(``SCREEN_MIN_FLOATS``).
 """
 
 import hashlib
@@ -81,6 +82,16 @@ GOLDEN = {
             seed=15,
         ),
         "4cba090c70bf5c8b78a936797a706229462c40df321ab5b9d016a56300e26036",
+    ),
+    "mixture-power": (
+        ExperimentConfig(
+            ScenarioConfig("concept-shift", n_steps=200, changepoint=100),
+            "same-class",
+            "ratio",
+            "mixture-power",
+            seed=16,
+        ),
+        "d6ed2ce8dfb970b1c83bcfcee4e5b829d2e55a019b6db9e7f0dacdd5f5ac2f96",
     ),
 }
 

@@ -93,3 +93,34 @@ def test_only_core_tests_the_type_of_a_number(tmp_path):
     assert number_types(sample) == {"Real", "Integral"}
     found = {path.name: number_types(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {"core.py": {"Real", "Integral"}}
+
+
+def callers(path: Path, names: set[str]) -> dict[str, set[str]]:
+    """For each of ``names``, the functions of the module at ``path`` that call
+    it by name (a nested function's calls count for the enclosing ones too)."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = {name: set() for name in names}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in names
+                ):
+                    found[node.func.id].add(func.name)
+    return found
+
+
+def test_each_betting_strategy_steps_in_one_function(tmp_path):
+    # bet_step and run_martingale share one advance, so no strategy has a
+    # second copy of its step that could drift from the first
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def step(p):\n    return p\n"
+        "def one(p):\n    return step(p)\n"
+        "def many(ps):\n    return [step(p) for p in ps]\n"
+    )
+    assert callers(sample, {"step"}) == {"step": {"one", "many"}}
+    step_rules = {"_jumper_step", "_mixture_log10_capital"}
+    assert callers(PACKAGE / "betting.py", step_rules) == {name: {"_advance"} for name in step_rules}
