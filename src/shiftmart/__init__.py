@@ -34,7 +34,7 @@ from .cli import (
     write_trajectory_csv,
 )
 from .conformity import NN_VARIANTS, NnCache, class_means, label_average, nn_scores, score_nn
-from .core import Label, Observation, RandomSource
+from .core import Label, Observation, RandomSource, Stream
 from .synth import (
     SCENARIOS,
     ScenarioConfig,
@@ -67,6 +67,7 @@ __all__ = [
     "SCENARIOS",
     "STRATEGY_TAGS",
     "ScenarioConfig",
+    "Stream",
     "TrajectoryTable",
     "UniformityReport",
     "UspsPaths",

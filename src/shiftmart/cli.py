@@ -38,7 +38,7 @@ import numpy as np
 
 from .betting import STRATEGY_TAGS, initial_state, product_martingale, run_martingale
 from .conformity import NN_VARIANTS
-from .core import Observation, RandomSource, integer_field
+from .core import RandomSource, Stream, integer_field
 from .synth import ScenarioConfig, generate, uniformity_report
 from .transducer import interleave
 
@@ -71,8 +71,9 @@ class InvariantViolation(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parse_usps_file(path: str) -> list[Observation]:
-    observations = []
+def _parse_usps_file(path: str) -> tuple[list[np.ndarray], list[int]]:
+    """The feature vectors and labels of the rows of one USPS file."""
+    rows, labels = [], []
     try:
         # a byte outside ASCII decodes to a lone surrogate, which no number
         # parses, so its row is refused like any other unparsable row
@@ -103,21 +104,24 @@ def _parse_usps_file(path: str) -> list[Observation]:
                 raise DataError(
                     f"{path}:{lineno}: feature out of [-1, 1] beyond tolerance"
                 )
-            observations.append(Observation(features, label))
-    return observations
+            rows.append(features)
+            labels.append(label)
+    return rows, labels
 
 
-def load_usps(train_path: str, test_path: str) -> list[Observation]:
+def load_usps(train_path: str, test_path: str) -> Stream:
     """Load the USPS digits text files, train rows first then test rows.
 
     Each row is whitespace-separated: an integer label 0-9 followed by 256
     pixel intensities in [-1, 1]. Malformed rows raise DataError naming the
-    file and line.
+    file and line. The rows are checked as they are parsed, and the stream
+    is built from them as one array of objects and one of labels.
     """
-    observations = _parse_usps_file(train_path) + _parse_usps_file(test_path)
-    if not observations:
+    train_rows, train_labels = _parse_usps_file(train_path)
+    test_rows, test_labels = _parse_usps_file(test_path)
+    if not train_rows and not test_rows:
         raise DataError(f"no observations in {train_path} + {test_path}")
-    return observations
+    return Stream(np.array(train_rows + test_rows), np.array(train_labels + test_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +282,7 @@ class TrajectoryTable:
         return self.p_concept.size
 
 
-def _load_stream(config: ExperimentConfig) -> list[Observation]:
+def _load_stream(config: ExperimentConfig) -> Stream:
     if isinstance(config.data, UspsPaths):
         return load_usps(config.data.train_path, config.data.test_path)
     scenario_seed = config.data.seed if config.data.seed is not None else config.seed

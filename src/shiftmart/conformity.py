@@ -39,7 +39,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .core import Observation
+from .core import Observation, Stream
 
 NN_VARIANTS = (
     "ratio",
@@ -79,19 +79,21 @@ class NnCache:
     Each insertion folds the new point's distances to the stored points into
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
-    bit-identical to a full scan. ``extend`` writes a stream's rows, class
-    ids and squared norms into the storage once, folds them into the minima
-    in blocks of up to ``_BLOCK`` rows and returns a log of the rows whose
-    minima each step changed; ``insert`` is a stream of one. Small blocks and caches
-    evaluate the formula on every pair of a new point and an earlier one.
-    Once a block's product with the stored rows reaches ``SCREEN_MIN_FLOATS``
-    multiply-adds, that one matrix product screens the stored rows against
-    the whole block with an approximate squared distance and a rigorous bound
-    on its error, and the formula is evaluated only on the few pairs that
-    could change a minimum (see ``_screen``). On a 2000-point IID stream with
+    bit-identical to a full scan. ``extend`` takes a ``Stream``, whose two
+    arrays are already checked, writes its rows, class ids and squared
+    norms into the storage once, folds them into the minima in blocks of up
+    to ``_BLOCK`` rows, committing each block's steps at once, and returns a
+    log of the rows whose minima each step changed; ``insert`` is a stream
+    of one. Small blocks and caches evaluate the formula on every pair of a
+    new point and an earlier one. Once a block's product with the stored
+    rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix product
+    screens the stored rows against the whole block with an approximate
+    squared distance and a rigorous bound on its error, and the formula is
+    evaluated only on the few pairs that could change a minimum (see
+    ``_screen``). On a 2000-point IID stream with
     d = 256 and 10 classes (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86
-    VM), ``extend`` took 0.11 to 0.15 s in a warm process and one ``insert``
-    per point 0.46 to 0.48 s. Labels are stored as dense class ids, so memory
+    VM), ``extend`` took 0.09 to 0.14 s in a warm process and one ``insert``
+    per point 0.68 to 0.79 s. Labels are stored as dense class ids, so memory
     does not depend on the label values. The cache is single-owner and
     mutable.
     """
@@ -160,16 +162,16 @@ class NnCache:
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
 
-        ``extend([obs])`` with its log ignored. Raises ValueError when the
-        object dimension does not match the cache (the first insertion fixes
-        the dimension). A stream of one pays a block's fixed cost on every
-        point; for a stream, ``extend`` is about 3x faster (see the class
-        docstring).
+        ``extend(Stream.of([obs]))`` with its log ignored. Raises ValueError
+        when the object dimension does not match the cache (the first
+        insertion fixes the dimension). A stream of one pays the checks of
+        a stream and a block's fixed cost on every point; for a stream,
+        ``extend`` is about 6x faster (see the class docstring).
         """
-        self.extend([obs])
+        self.extend(Stream.of([obs]))
 
-    def extend(self, observations: Iterable[Observation]) -> tuple[np.ndarray, ...]:
-        """Insert observations in order; return the log ``(rows, d_same, d_other)``.
+    def extend(self, stream: Stream | Iterable[Observation]) -> tuple[np.ndarray, ...]:
+        """Insert a stream in order; return the log ``(rows, d_same, d_other)``.
 
         Each step logs the stored rows whose ``d_same`` or ``d_other`` that
         insertion lowered, ascending, then its new row, which is one more than
@@ -178,40 +180,39 @@ class NnCache:
         and so its scores, at that step. The minima and class ids are those of
         one ``insert`` each. An empty stream gives three empty arrays.
 
-        Every observation is checked before any is inserted. One whose
-        dimension does not match the cache, or the first observation of an
-        empty cache, raises ValueError, and so does a label that ``int``
-        refuses; either way the cache is left exactly as it was, its
-        dimension included. A label is taken as ``int(obs.y)``: an
-        ``Observation`` holds a checked one, but a duck-typed label of 1.5
-        joins class 1. The storage grows at most once per call, and the rows,
-        class ids and squared norms of the whole stream are written once,
-        before the first block.
+        Anything but a ``Stream`` is converted by ``Stream.of`` first, which
+        checks every object and label. A stream whose dimension does not
+        match the cache raises ValueError, and so does anything that
+        ``Stream.of`` refuses, such as a label of 1.5 or ``True``; either way
+        the cache is left exactly as it was, its dimension included. The
+        storage grows at most once per call, and the stream's rows, class ids
+        and squared norms are written once, before the first block.
         """
-        dim = self._dim
-        xs, labels = [], []
-        for obs in observations:
-            x = np.asarray(obs.x, dtype=np.float64)
-            if dim is None:
-                dim = x.size
-            if x.size != dim:
-                raise ValueError(
-                    f"object dimension {x.size} does not match cache dimension {dim}"
-                )
-            xs.append(x)
-            labels.append(int(obs.y))
-        if not xs:
+        if not isinstance(stream, Stream):
+            stream = Stream.of(stream)
+        if not len(stream):
             return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+        dim = stream.x.shape[1]
+        if self._dim is not None and dim != self._dim:
+            raise ValueError(
+                f"object dimension {dim} does not match cache dimension {self._dim}"
+            )
         self._dim = dim
         n0 = self._n
-        n = n0 + len(xs)
+        n = n0 + len(stream)
         capacity = self._x.shape[0]
         if n > capacity:
             self._reserve(max(n, 2 * capacity))
         new = self._x[n0:n]
-        new[:] = xs
+        new[:] = stream.x
+        # a new label's id is the count of distinct labels inserted before it,
+        # so the labels in order of id are the keys of the dict
         class_ids = self._class_ids
-        self._labels[n0:n] = [class_ids.setdefault(y, len(class_ids)) for y in labels]
+        for label in dict.fromkeys(stream.y.tolist()):
+            class_ids.setdefault(label, len(class_ids))
+        labels = np.fromiter(class_ids, dtype=np.int64, count=len(class_ids))
+        order = np.argsort(labels)
+        self._labels[n0:n] = order[np.searchsorted(labels, stream.y, sorter=order)]
         # einsum, like vdot and unlike @, does not warn when a norm overflows
         # to inf, which only makes pairs candidates (see the screen)
         np.einsum("ij,ij->i", new, new, out=self._norms[n0:n])
@@ -225,18 +226,27 @@ class NnCache:
 
         The rows, class ids and squared norms are already written. The pairs
         (j, i) of row n0 + j and every row i before it that need an exact
-        distance are found, all the distances are computed in one call, and
-        the steps are committed one at a time. While the block's product with
-        the rows before it stays below ``SCREEN_MIN_FLOATS`` multiply-adds,
-        every pair is exact. From there on, the pairs with an earlier row of
-        the same block are always exact, and the pairs with the rows before
-        n0 pass ``_screen``.
+        distance are found and all their distances are computed in one call.
+        While the block's product with the rows before it stays below
+        ``SCREEN_MIN_FLOATS`` multiply-adds, every pair is exact. From there
+        on, the pairs with an earlier row of the same block are always exact,
+        and the pairs with the rows before n0 pass ``_screen``. Observations
+        are finite, so a distance is finite or +inf and never NaN; a finite
+        distance whose square overflows is +inf, as in a full scan.
 
-        Commit. A step writes a distance only where it is below the current
-        minimum, and those rows, then the new one, are the step's rows in the
-        log, gathered with their minima (a 2 x m array) right after the write.
-        Observations are finite, so a distance is finite or +inf and never
-        NaN, and the write is bit for bit what ``np.minimum`` would store.
+        Commit, all steps at once. A pair whose distance is not below its
+        row's minimum of its kind at the start of the block lowers nothing at
+        any step, so it is dropped. The touched rows are those of the pairs
+        left, and the block's own rows. A dense matrix has one row per step and one
+        column per touched row and kind (``d_same``, ``d_other``): a step's
+        distances where it has a pair, +inf elsewhere, below a first row of
+        the minima at the start of the block. ``np.minimum.accumulate`` down
+        the steps gives every minimum right after every step. A step lowers
+        a minimum where its distance is below the minimum before that step,
+        the comparison a write one step at a time would make, so the log and
+        the minima are bit for bit those of committing the steps in turn.
+        Each row of the block starts from its own minima over the rows before
+        it, and only later steps of the block can lower them.
         """
         b = n - n0
         x = self._x
@@ -246,9 +256,10 @@ class NnCache:
             self._screen(n0, n, pairs[:, :n0])
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
-        diff = x[rows] - x[points]
-        diff *= diff
-        dist = np.sqrt(diff.sum(axis=1))
+        with np.errstate(over="ignore"):
+            diff = x[rows] - x[points]
+            diff *= diff
+            dist = np.sqrt(diff.sum(axis=1))
         # 0 where the labels match, 1 where they differ: the row of _nearest.
         # Flat indices take a faster path in numpy than pairs of indices.
         kind = self._labels[rows] != self._labels[points]
@@ -258,18 +269,31 @@ class NnCache:
         # each row of the block starts from its minima over the rows before it
         nearest[:, n0:n] = np.inf
         np.minimum.at(flat, kind * capacity + points, dist)
-        cells = kind * capacity + rows
-        bounds = np.searchsorted(steps, np.arange(b + 1)).tolist()
-        step_rows, minima = [], []
-        for j, r in enumerate(range(n0, n)):
-            seg = slice(bounds[j], bounds[j + 1])
-            step_cells, step_dist = cells[seg], dist[seg]
-            lower = step_dist < flat[step_cells]
-            flat[step_cells[lower]] = step_dist[lower]
-            changed = np.concatenate((rows[seg][lower], (r,)))
-            step_rows.append(changed)
-            minima.append(nearest[:, changed])
-        return np.concatenate(step_rows), np.concatenate(minima, axis=1)
+        # a pair not below its row's minimum at the start of the block lowers
+        # nothing, at any step
+        keep = dist < flat[kind * capacity + rows]
+        steps, rows, kind, dist = steps[keep], rows[keep], kind[keep], dist[keep]
+        # the touched rows: those of the pairs kept, then the block's own rows,
+        # the last b, each the last of its step
+        touched = np.zeros(n, dtype=bool)
+        touched[rows] = True
+        touched[n0:] = True
+        touched = np.flatnonzero(touched)
+        m = touched.size
+        columns = np.searchsorted(touched, rows)
+        # running[j + 1, k * m + c]: row touched[c]'s minimum of kind k after step j
+        running = np.full((b + 1, 2 * m), np.inf)
+        running[0] = nearest[:, touched].reshape(-1)
+        running.reshape(-1)[(1 + steps) * (2 * m) + kind * m + columns] = dist
+        np.minimum.accumulate(running, axis=0, out=running)
+        # a step's distance is below the minimum before it exactly where the
+        # minimum after it is
+        lowered = (running[1:] < running[:-1]).reshape(b, 2, m).any(axis=1)
+        lowered[np.arange(b), m - b + np.arange(b)] = True
+        log_steps, log_columns = np.nonzero(lowered)
+        nearest[:, touched] = running[-1].reshape(2, m)
+        minima = running.reshape(b + 1, 2, m)[log_steps + 1, :, log_columns].T
+        return touched[log_columns], minima
 
     def _screen(self, n0: int, n: int, out: np.ndarray) -> None:
         """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0.

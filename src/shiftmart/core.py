@@ -1,11 +1,14 @@
 """Domain types and deterministic randomness shared across the library.
 
-A stream is a plain sequence of :class:`Observation` (feature vector plus
-class label). All randomness flows through :class:`RandomSource`, which
-derives named substreams from a single experiment seed, so every pipeline is
-replayable and the tie-breaking randomizations of the two martingale legs can
-be kept statistically independent of each other. Every number that arrives
-from outside is checked by :func:`integer_field` or :func:`real_field`.
+A stream is a :class:`Stream`: the objects of all its steps in one read-only
+float64 array and their class labels in one read-only int64 array, checked
+once, in one vectorised pass. Iterating it yields :class:`Observation`
+(feature vector plus class label), one per step. All randomness flows
+through :class:`RandomSource`, which derives named substreams from a single
+experiment seed, so every pipeline is replayable and the tie-breaking
+randomizations of the two martingale legs can be kept statistically
+independent of each other. Every number that arrives from outside is checked
+by :func:`integer_field` or :func:`real_field`.
 """
 
 from __future__ import annotations
@@ -14,11 +17,15 @@ import hashlib
 import math
 import numbers
 import reprlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 Label = int
+
+# labels are stored as int64
+_LABEL_LIMIT = 2**63
 
 
 def _as_float(value) -> float:
@@ -68,6 +75,88 @@ class Observation:
             raise ValueError("object vector contains non-finite entries")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", integer_field("label", self.y, low=0))
+
+
+def _label(value) -> int:
+    """``value`` as an int label that int64 holds, or ValueError naming it."""
+    label = integer_field("label", value, low=0)
+    if label >= _LABEL_LIMIT:
+        raise ValueError(f"label must be below 2**63, got {label}")
+    return label
+
+
+def _label_array(y) -> np.ndarray:
+    """``y`` as a 1-D int64 array of labels, each checked by ``_label``: an
+    integer array in one vectorised pass, anything else label by label, so
+    that a bool or a float (2.0 too) is refused as ``integer_field`` refuses
+    it."""
+    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"):
+        values = y.tolist() if isinstance(y, np.ndarray) else y
+        return np.array([_label(value) for value in values], dtype=np.int64)
+    if y.ndim != 1:
+        raise ValueError(f"labels must be a 1-D array, got shape {y.shape}")
+    bad = y[y < 0] if y.dtype.kind == "i" else y[y >= _LABEL_LIMIT]
+    if bad.size:
+        _label(bad[0].item())
+    return y.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """A checked stream of n steps: the objects ``x``, a read-only float64
+    array of shape (n, d), and the labels ``y``, a read-only int64 array of
+    shape (n,).
+
+    It is checked once, in one vectorised pass: ``x`` is 2-D and finite, and
+    every label is an integer in [0, 2**63), refusing bools and floats as
+    ``integer_field`` does. Arrays that already have these types are not
+    copied; the stream holds read-only views of them. A stream works like a
+    list of observations: ``len``, iteration (one ``Observation`` a step),
+    indexing and slicing (a slice is a ``Stream``). ``Stream.of`` builds one
+    from observations.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"objects must be a 2-D array, got shape {x.shape}")
+        y = _label_array(self.y)
+        if y.size != x.shape[0]:
+            raise ValueError(f"{x.shape[0]} objects but {y.size} labels")
+        if not np.isfinite(x).all():
+            raise ValueError("object vector contains non-finite entries")
+        x, y = x.view(), y.view()
+        x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    @classmethod
+    def of(cls, observations: Iterable) -> Stream:
+        """The stream of ``observations``, in order: anything with an object
+        vector ``x`` and a label ``y``, such as ``Observation``. ValueError
+        unless the objects are 1-D vectors of one dimension."""
+        xs, ys = [], []
+        for obs in observations:
+            xs.append(np.asarray(obs.x, dtype=np.float64))
+            ys.append(obs.y)
+        shapes = {x.shape for x in xs}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError(f"objects must be 1-D vectors of one dimension, got shapes {sorted(shapes)}")
+        return cls(np.array(xs) if xs else np.empty((0, 0)), ys)
+
+    def __len__(self) -> int:
+        return self.y.size
+
+    def __iter__(self):
+        return map(Observation, self.x, self.y.tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Stream(self.x[key], self.y[key])
+        return Observation(self.x[key], int(self.y[key]))
 
 
 class RandomSource:

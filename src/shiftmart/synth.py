@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import Observation, RandomSource, integer_field, real_field
+from .core import RandomSource, Stream, integer_field, real_field
 
 SCENARIOS = ("iid", "concept-shift", "label-shift", "markov-labels")
 _SHIFT_SCENARIOS = ("concept-shift", "label-shift")
@@ -133,21 +133,29 @@ def _skewed_marginals(n_classes: int, magnitude: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate(config: ScenarioConfig, source: RandomSource) -> list[Observation]:
-    """Materialize one stream. Pure given (config, source)."""
+def generate(config: ScenarioConfig, source: RandomSource) -> Stream:
+    """Materialize one stream. Pure given (config, source).
+
+    Each step draws one uniform (its label) and then ``dim`` normals (its
+    object) from ``source``, in that order, and the class mean is added to
+    the normals in the row of a preallocated (n_steps, dim) array; the
+    concept shift is one add to the rows after the changepoint. Those are
+    the additions of building each object on its own, so the stream keeps
+    its bits, and no (n_steps, dim) temporary is made.
+    """
     k = config.n_classes
-    means = class_centres(k, config.dim)
+    centres = list(class_centres(k, config.dim))
     uniform_cum = np.cumsum(np.full(k, 1.0 / k)).tolist()
-    shift_direction = np.full(config.dim, 1.0 / np.sqrt(config.dim))
 
     if config.scenario == "label-shift":
         skew_cum = np.cumsum(_skewed_marginals(k, config.shift_magnitude)).tolist()
     if config.scenario == "markov-labels":
         transition_cum = np.cumsum(config.label_transition, axis=1).tolist()
 
-    stream = []
+    x = np.empty((config.n_steps, config.dim))
+    labels = []
     label = None
-    for step in range(1, config.n_steps + 1):
+    for step, row in enumerate(x, start=1):
         u = source.uniform_draw()
         if config.scenario == "markov-labels" and label is not None:
             label = _categorical(transition_cum[label], u, k)
@@ -155,11 +163,12 @@ def generate(config: ScenarioConfig, source: RandomSource) -> list[Observation]:
             label = _categorical(skew_cum, u, k)
         else:
             label = _categorical(uniform_cum, u, k)
-        x = means[label] + source.normal_draws(config.dim)
-        if config.scenario == "concept-shift" and step > config.changepoint:
-            x = x + config.shift_magnitude * shift_direction
-        stream.append(Observation(x, label))
-    return stream
+        np.add(centres[label], source.normal_draws(config.dim), out=row)
+        labels.append(label)
+    if config.scenario == "concept-shift":
+        shift_direction = np.full(config.dim, 1.0 / np.sqrt(config.dim))
+        x[config.changepoint :] += config.shift_magnitude * shift_direction
+    return Stream(x, np.array(labels, dtype=np.int64))
 
 
 @dataclass(frozen=True)

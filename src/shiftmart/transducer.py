@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .core import Observation, RandomSource, real_field
+from .core import Observation, RandomSource, Stream, real_field
 from .conformity import NN_VARIANTS, NnCache, class_means, nn_scores
 
 
@@ -150,14 +150,14 @@ class InterleavedPValues:
 
 
 def interleave(
-    stream: Sequence[Observation],
+    stream: Stream | Iterable[Observation],
     concept_measure: str,
     label_measure: str | None,
     tau_src: RandomSource,
     tau_prime_src: RandomSource | None,
     tau_black_src: RandomSource | None = None,
 ) -> InterleavedPValues:
-    """Run the transducer legs over a stream of observations.
+    """Run the transducer legs over a stream.
 
     ``concept_measure`` and ``label_measure`` are NN variant tags; they may
     differ. The concept leg ranks the newest raw score within its class, as
@@ -172,16 +172,18 @@ def interleave(
     disjoint substreams. They are drawn for the whole stream up front, which
     gives the same values.
 
-    The stream is inserted with one ``NnCache.extend`` call, which logs for
-    every step the rows whose minima that insertion lowered, then the new
-    row, with their ``d_same`` and ``d_other`` as they stood at that step.
-    Each step rescores only those rows: one ``nn_scores`` call per measure
-    scores the whole log, and ``nn_scores`` is elementwise, so each score is
-    the one its step would have computed. The log is then replayed in one
-    loop: a row below the prefix length is a stored row whose score the step
-    changed, and the row equal to it is the step's new row. The concept
-    scores are kept in one sorted list per class (and one over all rows for
-    the black leg), so a rank is two bisections. The label leg ranks the
+    Anything but a ``Stream`` is converted by ``Stream.of`` first. The
+    stream's two checked arrays are inserted whole with one
+    ``NnCache.extend`` call, which logs for every step the rows whose minima
+    that insertion lowered, then the new row, with their ``d_same`` and
+    ``d_other`` as they stood at that step. Each step rescores only those
+    rows: one ``nn_scores`` call per measure scores the whole log, and
+    ``nn_scores`` is elementwise, so each score is the one its step would
+    have computed. The log is then replayed in one loop: a row below the
+    prefix length is a stored row whose score the step changed, and the row
+    equal to it is the step's new row. The concept scores are kept in one
+    sorted list per class (and one over all rows for the black leg), so a
+    rank is two bisections. The label leg ranks the
     newest class mean among the class means: the class sizes are Python
     ints, the sums come from one ``np.bincount`` over the label-measure
     scores of the prefix, and the means are those of ``class_means`` (see
@@ -194,8 +196,9 @@ def interleave(
     for measure in (concept_measure, label_measure) if with_label else (concept_measure,):
         if measure not in NN_VARIANTS:
             raise ValueError(f"unknown conformity variant {measure!r}")
-    stream = list(stream)
-    if not stream:
+    if not isinstance(stream, Stream):
+        stream = Stream.of(stream)
+    if not len(stream):
         raise ValueError("empty stream")
     taus = _tau_draws((tau_black_src, tau_src, tau_prime_src if with_label else None), len(stream))
     p_black, p_concept, p_label = (None if t is None else np.empty(len(stream)) for t in taus)

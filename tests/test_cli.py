@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from shiftmart import (
     ExperimentConfig,
     ScenarioConfig,
+    Stream,
     UspsPaths,
     load_usps,
     read_trajectory_csv,
@@ -62,6 +63,7 @@ def usps_files(tmp_path):
 
 def test_loader_returns_train_then_test_rows(usps_files):
     observations = load_usps(*usps_files)
+    assert isinstance(observations, Stream) and observations.x.shape == (4, 256)
     assert [o.y for o in observations] == [0, 1, 9, 5]
     assert all(o.x.size == 256 for o in observations)
     assert observations[0].x[0] == pytest.approx(0.1)

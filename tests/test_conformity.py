@@ -1,6 +1,8 @@
 """Tests for the nearest-neighbour cache and the conformity score variants."""
 
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +57,24 @@ def test_dimension_mismatch_is_rejected():
     cache = fill_cache(make_stream([[0.0, 0.0]], [0]))
     with pytest.raises(ValueError, match="dimension"):
         cache.insert(Observation(np.zeros(3), 0))
+
+
+def test_extend_stores_an_overflowing_distance_as_inf_without_a_warning():
+    # the square of 2e160 overflows, in the exact formula as in a full scan
+    cache = NnCache()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache.extend(make_stream([1e160, -1e160], [0, 1]))
+    assert np.array_equal(cache.d_other, [np.inf, np.inf])
+    assert np.array_equal(cache.d_other, oracle_minima([[1e160], [-1e160]], [0, 1])[1])
+
+
+def test_extend_refuses_a_duck_typed_label_that_is_not_an_integer():
+    stream = [SimpleNamespace(x=np.array([float(i)]), y=y) for i, y in enumerate((1, 1.5, True))]
+    cache = NnCache()
+    with pytest.raises(ValueError, match="label must be an integer, got 1.5"):
+        cache.extend(stream)
+    assert cache.n == 0 and cache.dim is None
 
 
 def assert_same_state(cache, reference, context):
@@ -339,3 +359,62 @@ def test_scores_depend_on_prefix_as_multiset(prefix, pyrandom):
         assert np.array_equal(
             score_nn(variant, reordered)[inverse], score_nn(variant, direct)
         )
+
+
+# --- fuzzing the screened path ----------------------------------------------
+
+_VARIANTS = ("iid", "lattice", "duplicates", "scaled", "offset", "late classes")
+
+
+@st.composite
+def screened_streams(draw, max_n=300, max_dim=16):
+    """A stream long enough for ``extend`` to screen full blocks, with a point
+    at which to split it into two calls, and a variant tag for the context.
+
+    The variants are IID points; lattice points, so that many distances tie;
+    duplicated rows, so that distances are 0; points scaled by 10**e, whose
+    squared differences underflow or come close to overflowing; points with
+    a common offset of 10**(e + 4), whose squared norms may overflow; and
+    classes that first appear after the split.
+    """
+    d = draw(st.integers(1, max_dim))
+    # the first block that meets this many stored rows is screened
+    threshold_rows = -(-SCREEN_MIN_FLOATS // (_BLOCK * d))
+    n = draw(st.integers(min(max_n, threshold_rows + 2 * _BLOCK), max_n))
+    n_classes = draw(st.integers(1, 5))
+    variant = draw(st.sampled_from(_VARIANTS))
+    split = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(n, d))
+    labels = rng.integers(0, n_classes, size=n)
+    if variant == "lattice":
+        points = rng.integers(-1, 2, size=(n, d)).astype(np.float64)
+    elif variant == "duplicates":
+        points[rng.integers(0, n, n // 3)] = points[rng.integers(0, n, n // 3)]
+    elif variant in ("scaled", "offset"):
+        exponent = draw(st.integers(-160, 150))
+        points *= 10.0**exponent
+        if variant == "offset":
+            points += 10.0 ** (exponent + 4)
+    elif variant == "late classes":
+        labels = np.where(np.arange(n) < split, 0, labels + 1)
+    return f"{variant} (n={n}, d={d}, K={n_classes}, split={split})", points, labels, split
+
+
+def oracle_minima(points, labels):
+    """The full scan's minima; its formula overflows where a distance does."""
+    with np.errstate(over="ignore"):
+        return nn_distances_bruteforce(points, labels)
+
+
+@given(screened_streams())
+@settings(max_examples=50, deadline=None)
+def test_extend_in_two_calls_matches_one_at_a_time_inserts_and_the_full_scan(case):
+    context, points, labels, split = case
+    stream = make_stream(points, labels)
+    cache, reference = NnCache(), NnCache()
+    extend_in_lockstep(cache, stream[:split], reference, context)
+    extend_in_lockstep(cache, stream[split:], reference, context)
+    d_same, d_other = oracle_minima(points, labels)
+    assert np.array_equal(cache.d_same, d_same), context
+    assert np.array_equal(cache.d_other, d_other), context

@@ -1,11 +1,13 @@
 """Tests for domain types and the seeded substream source."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shiftmart import Observation, RandomSource, ks_distance, ks_uniform_bound
+from shiftmart import Observation, RandomSource, Stream, ks_distance, ks_uniform_bound
 from shiftmart.core import integer_field, real_field
 
 # values that are not numbers, or not numbers a float can hold
@@ -71,6 +73,50 @@ def test_observation_validates_inputs():
     for label in (-1, 1.5, True):
         with pytest.raises(ValueError, match="label"):
             Observation(np.array([0.0]), label)
+
+
+def test_stream_holds_checked_read_only_arrays():
+    x = np.arange(6.0).reshape(3, 2)
+    stream = Stream(x, np.array([2, 0, 2], dtype=np.uint8))
+    # the objects are not copied, and neither array can be written through
+    assert np.shares_memory(stream.x, x)
+    assert stream.x.dtype == np.float64 and stream.y.dtype == np.int64
+    for array in (stream.x, stream.y):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert len(stream) == 3
+    assert [(obs.x.tolist(), obs.y) for obs in stream] == [([0.0, 1.0], 2), ([2.0, 3.0], 0), ([4.0, 5.0], 2)]
+    assert isinstance(stream[-1], Observation) and stream[-1].y == 2
+    tail = stream[1:]
+    assert isinstance(tail, Stream) and np.array_equal(tail.x, x[1:]) and tail.y.tolist() == [0, 2]
+    again = Stream.of(stream)
+    assert np.array_equal(again.x, stream.x) and np.array_equal(again.y, stream.y)
+    assert Stream.of(iter([])).x.shape == (0, 0) and len(Stream.of([])) == 0
+
+
+def test_stream_refuses_malformed_objects():
+    with pytest.raises(ValueError, match="2-D"):
+        Stream(np.zeros(3), [0, 0, 0])
+    with pytest.raises(ValueError, match="non-finite"):
+        Stream(np.array([[0.0], [np.inf]]), [0, 0])
+    with pytest.raises(ValueError, match="2 objects but 3 labels"):
+        Stream(np.zeros((2, 1)), [0, 0, 0])
+    with pytest.raises(ValueError, match="one dimension"):
+        Stream.of([Observation(np.zeros(2), 0), Observation(np.zeros(3), 0)])
+
+
+@pytest.mark.parametrize("label", [1.5, True, -1, 2**63, 2.0])
+def test_stream_refuses_a_label_that_int64_counts_cannot_hold(label):
+    # labels are checked once per stream, as an array or one by one, and a
+    # label beyond int64 is refused rather than wrapped
+    named = re.escape(str(label))
+    with pytest.raises(ValueError, match=f"label .*{named}"):
+        Stream(np.zeros((3, 1)), [0, 1, label])
+    with pytest.raises(ValueError, match=f"label .*{named}"):
+        Stream.of([SimpleNamespace(x=np.zeros(1), y=y) for y in (0, 1, label)])
+    # an array of bools, floats, int64 or uint64
+    with pytest.raises(ValueError, match=f"label .*{named}"):
+        Stream(np.zeros((1, 1)), np.array([label]))
 
 
 def test_describe_names_seed_and_tag():

@@ -124,3 +124,29 @@ def test_each_betting_strategy_steps_in_one_function(tmp_path):
     assert callers(sample, {"step"}) == {"step": {"one", "many"}}
     step_rules = {"_jumper_step", "_mixture_log10_capital"}
     assert callers(PACKAGE / "betting.py", step_rules) == {name: {"_advance"} for name in step_rules}
+
+
+def observation_calls(path: Path) -> int:
+    """How many calls the module at ``path`` makes to a name ``Observation``,
+    called directly or as an attribute."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Observation"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_core_builds_observations(tmp_path):
+    # streams travel as two checked arrays; an Observation is made only when
+    # a caller iterates or indexes a Stream
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import core\n"
+        "from .core import Observation\n"
+        "pair = Observation([0.0], 0), core.Observation([1.0], 1)\n"
+        "kind = Observation\n"
+    )
+    assert observation_calls(sample) == 2
+    found = {path.name: observation_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, calls in found.items() if calls] == ["core.py"]

@@ -10,6 +10,7 @@ from shiftmart import (
     Observation,
     RandomSource,
     ScenarioConfig,
+    Stream,
     generate,
     ks_distance,
     ks_uniform_bound,
@@ -189,9 +190,12 @@ def test_streams_keep_their_bits(scenario):
     assert digest.hexdigest() == pin
 
 
-def test_streams_are_observation_lists():
-    stream = generate(ScenarioConfig("iid", n_steps=5), RandomSource(1, "scenario"))
-    assert len(stream) == 5
+def test_streams_are_checked_arrays():
+    stream = generate(ScenarioConfig("iid", n_steps=5, dim=3), RandomSource(1, "scenario"))
+    assert isinstance(stream, Stream) and len(stream) == 5
+    assert stream.x.shape == (5, 3) and stream.x.dtype == np.float64
+    assert stream.y.shape == (5,) and stream.y.dtype == np.int64
+    assert not stream.x.flags.writeable and not stream.y.flags.writeable
     assert all(isinstance(o, Observation) for o in stream)
 
 

@@ -21,6 +21,7 @@ from shiftmart import (
 from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS
 
 from oracles import p_conformal_recount, p_label_conditional_recount
+from test_conformity import screened_streams
 
 
 # --- single-step transducers -------------------------------------------------
@@ -285,3 +286,31 @@ def test_interleave_batches_match_the_per_step_transducers(case):
             assert np.array_equal(result.p_concept, p_concept), context
             assert np.array_equal(result.p_label, p_label), context
             assert np.array_equal(result.p_black, p_black), context
+
+
+@given(
+    screened_streams(),
+    st.sampled_from(NN_VARIANTS),
+    st.sampled_from(NN_VARIANTS),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_interleave_matches_the_recounts_where_the_cache_screens(case, concept, label, seed):
+    context, points, labels, _ = case
+    context = f"{context}: {concept}/{label}, seed={seed}"
+    stream = _stream(points, labels)
+    result = interleave(stream, concept, label, *_sources(seed, False, True))
+    tau_src, tau_prime_src, tau_black_src = _sources(seed, False, True)
+    cache = NnCache()
+    for k, obs in enumerate(stream):
+        cache.insert(obs)
+        raw = score_nn(concept, cache)
+        averaged = label_average(score_nn(label, cache), cache.labels)
+        tau_black, tau, tau_prime = (
+            src.uniform_draw() for src in (tau_black_src, tau_src, tau_prime_src)
+        )
+        assert result.p_black[k] == p_conformal_recount(raw, tau_black), f"{context}, step {k}"
+        assert result.p_concept[k] == p_label_conditional_recount(
+            raw, cache.labels, tau
+        ), f"{context}, step {k}"
+        assert result.p_label[k] == p_conformal_recount(averaged, tau_prime), f"{context}, step {k}"
