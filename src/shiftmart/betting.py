@@ -306,11 +306,7 @@ def check_betting_validity(strategy, prefixes, jump_rate: float = 0.001) -> floa
             # an arithmetic path independent of the logsumexp evaluation of
             # F itself.
             n0 = len(prefix)
-            if n0:
-                p = np.clip(np.asarray(prefix), _MIXTURE_CLAMP, 1.0)
-                log_p_total = np.log(p).sum()
-            else:
-                log_p_total = 0.0
+            log_p_total = np.log(np.clip(np.asarray(prefix), _MIXTURE_CLAMP, 1.0)).sum()
             moments = 1.0 / _MIX_EPS
             integral = float(
                 np.sum(

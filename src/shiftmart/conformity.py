@@ -73,6 +73,12 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """``view``, a fresh view of the storage, with writing through it refused."""
+    view.flags.writeable = False
+    return view
+
+
 class NnCache:
     """Incrementally maintained nearest-neighbour distances for a prefix.
 
@@ -80,22 +86,24 @@ class NnCache:
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` takes a ``Stream``, whose two
-    arrays are already checked, writes its rows, class ids and squared
-    norms into the storage once, folds them into the minima in blocks of up
-    to ``_BLOCK`` rows, committing each block's steps at once, and returns a
-    log of the rows whose minima each step changed; ``insert`` is a stream
-    of one. Small blocks and caches evaluate the formula on every pair of a
-    new point and an earlier one. Once a block's product with the stored
-    rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix product
-    screens the stored rows against the whole block with an approximate
-    squared distance and a rigorous bound on its error, and the formula is
-    evaluated only on the few pairs that could change a minimum (see
-    ``_screen``). On a 2000-point IID stream with
-    d = 256 and 10 classes (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86
+    arrays are already checked, or converts anything else to one; it is the
+    engine's one conversion. It writes the stream's rows, class ids and
+    squared norms into the storage once, folds them into the minima in
+    blocks of up to ``_BLOCK`` rows, committing each block's steps at once,
+    and returns a log of the rows whose minima each step changed; ``insert``
+    is a stream of one. Small blocks and caches evaluate the formula on
+    every pair of a new point and an earlier one. Once a block's product
+    with the stored rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that
+    one matrix product screens the stored rows against the whole block with
+    an approximate squared distance and a rigorous bound on its error, and
+    the formula is evaluated only on the few pairs that could change a
+    minimum (see ``_screen``). On a 2000-point IID stream with d = 256 and
+    10 classes (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86
     VM), ``extend`` took 0.09 to 0.14 s in a warm process and one ``insert``
     per point 0.68 to 0.79 s. Labels are stored as dense class ids, so memory
-    does not depend on the label values. The cache is single-owner and
-    mutable.
+    does not depend on the label values. ``labels``, ``d_same`` and
+    ``d_other`` make a read-only view of the storage on each read. The cache
+    is single-owner and mutable.
     """
 
     def __init__(self):
@@ -107,7 +115,6 @@ class NnCache:
         # row 0: distance to the nearest same-label point, row 1: other label
         self._nearest = np.empty((2, 0))
         self._class_ids: dict[int, int] = {}
-        self._make_views()
 
     @property
     def n(self) -> int:
@@ -125,17 +132,17 @@ class NnCache:
         exactly when they share a label, and the ids are below the number of
         distinct labels however large the labels themselves are.
         """
-        return self._labels_view[: self._n]
+        return _read_only(self._labels[: self._n])
 
     @property
     def d_same(self) -> np.ndarray:
         """Per-point distance to the nearest same-label point (read-only view)."""
-        return self._nearest_view[0, : self._n]
+        return _read_only(self._nearest[0, : self._n])
 
     @property
     def d_other(self) -> np.ndarray:
         """Per-point distance to the nearest other-label point (read-only view)."""
-        return self._nearest_view[1, : self._n]
+        return _read_only(self._nearest[1, : self._n])
 
     def _reserve(self, capacity: int):
         x = np.empty((capacity, self._dim), dtype=np.float64)
@@ -149,26 +156,17 @@ class NnCache:
             nearest[:, : self._n] = self._nearest[:, : self._n]
         self._x, self._norms, self._labels = x, norms, labels
         self._nearest = nearest
-        self._make_views()
-
-    def _make_views(self):
-        # slices of a read-only view are read-only, so the properties can
-        # hand out views of the storage without setting a flag on each
-        self._labels_view = self._labels.view()
-        self._nearest_view = self._nearest.view()
-        self._labels_view.flags.writeable = False
-        self._nearest_view.flags.writeable = False
 
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
 
-        ``extend(Stream.of([obs]))`` with its log ignored. Raises ValueError
-        when the object dimension does not match the cache (the first
-        insertion fixes the dimension). A stream of one pays the checks of
-        a stream and a block's fixed cost on every point; for a stream,
-        ``extend`` is about 6x faster (see the class docstring).
+        ``extend([obs])`` with its log ignored. Raises ValueError when the
+        object dimension does not match the cache (the first insertion fixes
+        the dimension). A stream of one pays the checks of a stream and a
+        block's fixed cost on every point; for a stream, ``extend`` is about
+        6x faster (see the class docstring).
         """
-        self.extend(Stream.of([obs]))
+        self.extend([obs])
 
     def extend(self, stream: Stream | Iterable[Observation]) -> tuple[np.ndarray, ...]:
         """Insert a stream in order; return the log ``(rows, d_same, d_other)``.
@@ -178,15 +176,18 @@ class NnCache:
         the previous step's. ``d_same`` and ``d_other`` are those rows' minima
         as they stood right after that step. Every other row keeps its minima,
         and so its scores, at that step. The minima and class ids are those of
-        one ``insert`` each. An empty stream gives three empty arrays.
+        one ``insert`` each: a label new to the cache takes the next id, in
+        one pass over the labels. An empty stream gives three empty arrays.
 
         Anything but a ``Stream`` is converted by ``Stream.of`` first, which
-        checks every object and label. A stream whose dimension does not
-        match the cache raises ValueError, and so does anything that
-        ``Stream.of`` refuses, such as a label of 1.5 or ``True``; either way
-        the cache is left exactly as it was, its dimension included. The
-        storage grows at most once per call, and the stream's rows, class ids
-        and squared norms are written once, before the first block.
+        checks every object and label; ``insert`` and ``interleave`` pass
+        their argument here, so this is the one place a stream is converted.
+        A stream whose dimension does not match the cache raises ValueError,
+        and so does anything that ``Stream.of`` refuses, such as a label of
+        1.5 or ``True``; either way the cache is left exactly as it was, its
+        dimension included. The storage grows at most once per call, and the
+        stream's rows, class ids and squared norms are written once, before
+        the first block.
         """
         if not isinstance(stream, Stream):
             stream = Stream.of(stream)
@@ -205,14 +206,9 @@ class NnCache:
             self._reserve(max(n, 2 * capacity))
         new = self._x[n0:n]
         new[:] = stream.x
-        # a new label's id is the count of distinct labels inserted before it,
-        # so the labels in order of id are the keys of the dict
+        # a new label's id is the count of distinct labels inserted before it
         class_ids = self._class_ids
-        for label in dict.fromkeys(stream.y.tolist()):
-            class_ids.setdefault(label, len(class_ids))
-        labels = np.fromiter(class_ids, dtype=np.int64, count=len(class_ids))
-        order = np.argsort(labels)
-        self._labels[n0:n] = order[np.searchsorted(labels, stream.y, sorter=order)]
+        self._labels[n0:n] = [class_ids.setdefault(y, len(class_ids)) for y in stream.y.tolist()]
         # einsum, like vdot and unlike @, does not warn when a norm overflows
         # to inf, which only makes pairs candidates (see the screen)
         np.einsum("ij,ij->i", new, new, out=self._norms[n0:n])

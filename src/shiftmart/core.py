@@ -60,9 +60,18 @@ def real_field(name: str, value, low=-math.inf, high=math.inf, *, open_low=False
     raise ValueError(f"{name} must be a finite number in {span}, got {reprlib.repr(value)}")
 
 
+def _label(value) -> int:
+    """``value`` as an int label that int64 holds, or ValueError naming it."""
+    label = integer_field("label", value, low=0)
+    if label >= _LABEL_LIMIT:
+        raise ValueError(f"label must be below 2**63, got {label}")
+    return label
+
+
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """One stream element: a feature vector ``x`` and a class label ``y``."""
+    """One stream element: a feature vector ``x`` and a class label ``y``,
+    checked as a row and a label of a ``Stream`` are."""
 
     x: np.ndarray
     y: Label
@@ -74,27 +83,19 @@ class Observation:
         if not np.isfinite(x).all():
             raise ValueError("object vector contains non-finite entries")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", integer_field("label", self.y, low=0))
-
-
-def _label(value) -> int:
-    """``value`` as an int label that int64 holds, or ValueError naming it."""
-    label = integer_field("label", value, low=0)
-    if label >= _LABEL_LIMIT:
-        raise ValueError(f"label must be below 2**63, got {label}")
-    return label
+        object.__setattr__(self, "y", _label(self.y))
 
 
 def _label_array(y) -> np.ndarray:
     """``y`` as a 1-D int64 array of labels, each checked by ``_label``: an
     integer array in one vectorised pass, anything else label by label, so
     that a bool or a float (2.0 too) is refused as ``integer_field`` refuses
-    it."""
-    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"):
-        values = y.tolist() if isinstance(y, np.ndarray) else y
-        return np.array([_label(value) for value in values], dtype=np.int64)
+    it. A ``y`` that is not 1-D, such as a scalar, is refused whole."""
+    y = y if isinstance(y, np.ndarray) else np.array(y, dtype=object)
     if y.ndim != 1:
         raise ValueError(f"labels must be a 1-D array, got shape {y.shape}")
+    if y.dtype.kind not in "iu":
+        return np.array([_label(value) for value in y.tolist()], dtype=np.int64)
     bad = y[y < 0] if y.dtype.kind == "i" else y[y >= _LABEL_LIMIT]
     if bad.size:
         _label(bad[0].item())

@@ -29,7 +29,7 @@ markov-labels
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -221,15 +221,8 @@ def uniformity_report(samples, pairs=None, bins: int = 10) -> UniformityReport:
     """KS uniformity of pooled samples, optionally with a paired chi-square."""
     samples = np.asarray(samples, dtype=np.float64)
     report = UniformityReport(ks_distance(samples), samples.size)
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=np.float64)
-        stat, df = pair_chisq(pairs, bins)
-        report = UniformityReport(
-            report.ks_distance,
-            report.sample_count,
-            chisq_stat=stat,
-            chisq_bins=bins,
-            chisq_df=df,
-            pair_count=pairs.shape[0],
-        )
-    return report
+    if pairs is None:
+        return report
+    pairs = np.asarray(pairs, dtype=np.float64)
+    stat, df = pair_chisq(pairs, bins)
+    return replace(report, chisq_stat=stat, chisq_bins=bins, chisq_df=df, pair_count=pairs.shape[0])

@@ -102,17 +102,19 @@ def _tau_draws(sources: Sequence[RandomSource | None], steps: int) -> list[np.nd
 
 
 def _rank_class_mean(
-    scores: np.ndarray, labels: np.ndarray, counts: list[int], y: int, tau: float
+    scores: np.ndarray, labels: np.ndarray, by_class: list[list], y: int, tau: float
 ) -> float:
     """``p_conformal`` of class ``y``'s mean among the class-averaged ``scores``.
 
-    ``labels`` are dense class ids and ``counts`` the size of each class, all
-    at least 1. The sums come from the ``np.bincount`` call that
+    ``labels`` are dense class ids and ``by_class`` holds one entry per row of
+    each class, so the length of each list is the size of its class, at
+    least 1. The sums come from the ``np.bincount`` call that
     ``class_means`` makes, and the Python ``s / c`` is the same IEEE division
     as its ``sums / np.maximum(counts, 1)``, so the means are those of
     ``class_means`` bit for bit. A step with a sum that is not finite takes
     the means from ``class_means`` itself, which holds the clamp.
     """
+    counts = list(map(len, by_class))
     sums = np.bincount(labels, weights=scores).tolist()
     if all(map(math.isfinite, sums)):
         means = [s / c for s, c in zip(sums, counts)]
@@ -169,24 +171,23 @@ def interleave(
     ``p_conformal`` does. Each step's tau values are those of drawing black,
     concept, label, in that order, so passing one source for all of them is
     the shared-randomization compatibility mode; the default contract is
-    disjoint substreams. They are drawn for the whole stream up front, which
-    gives the same values.
+    disjoint substreams. They are drawn for the whole stream at once, right
+    after it is inserted, which gives the same values.
 
-    Anything but a ``Stream`` is converted by ``Stream.of`` first. The
-    stream's two checked arrays are inserted whole with one
-    ``NnCache.extend`` call, which logs for every step the rows whose minima
-    that insertion lowered, then the new row, with their ``d_same`` and
-    ``d_other`` as they stood at that step. Each step rescores only those
-    rows: one ``nn_scores`` call per measure scores the whole log, and
-    ``nn_scores`` is elementwise, so each score is the one its step would
-    have computed. The log is then replayed in one loop: a row below the
+    The stream is handed as it is to one ``NnCache.extend`` call, which
+    converts anything but a ``Stream``, inserts the two checked arrays whole
+    and logs for every step the rows whose minima that insertion lowered,
+    then the new row, with their ``d_same`` and ``d_other`` as they stood at
+    that step. Each step rescores only those rows: one ``nn_scores`` call per
+    measure scores the whole log, and ``nn_scores`` is elementwise, so each
+    score is the one its step would have computed. The log is then replayed in one loop: a row below the
     prefix length is a stored row whose score the step changed, and the row
     equal to it is the step's new row. The concept scores are kept in one
     sorted list per class (and one over all rows for the black leg), so a
-    rank is two bisections. The label leg ranks the
-    newest class mean among the class means: the class sizes are Python
-    ints, the sums come from one ``np.bincount`` over the label-measure
-    scores of the prefix, and the means are those of ``class_means`` (see
+    rank is two bisections. The label leg ranks the newest class mean among
+    the class means: the class sizes are the lengths of the per-class lists,
+    the sums come from one ``np.bincount`` over the label-measure scores of
+    the prefix, and the means are those of ``class_means`` (see
     ``_rank_class_mean``). The counts are the exact integers the transducers
     count, and scores are never NaN, so the p-values are bit-identical to the
     transducers on the full prefix.
@@ -196,15 +197,14 @@ def interleave(
     for measure in (concept_measure, label_measure) if with_label else (concept_measure,):
         if measure not in NN_VARIANTS:
             raise ValueError(f"unknown conformity variant {measure!r}")
-    if not isinstance(stream, Stream):
-        stream = Stream.of(stream)
-    if not len(stream):
-        raise ValueError("empty stream")
-    taus = _tau_draws((tau_black_src, tau_src, tau_prime_src if with_label else None), len(stream))
-    p_black, p_concept, p_label = (None if t is None else np.empty(len(stream)) for t in taus)
-    tau_black, tau, tau_prime = (None if t is None else t.tolist() for t in taus)
     cache = NnCache()
     rows, d_same, d_other = cache.extend(stream)
+    n = cache.n
+    if not n:
+        raise ValueError("empty stream")
+    taus = _tau_draws((tau_black_src, tau_src, tau_prime_src if with_label else None), n)
+    p_black, p_concept, p_label = (None if t is None else np.empty(n) for t in taus)
+    tau_black, tau, tau_prime = (None if t is None else t.tolist() for t in taus)
     log = zip(
         rows.tolist(),
         nn_scores(concept_measure, d_same, d_other).tolist(),
@@ -214,12 +214,10 @@ def interleave(
     # the class id and concept score of each row, and the label-measure scores
     row_class = labels.tolist()
     concept_scores: list[float] = []
-    label_scores = np.empty(len(stream)) if with_label else None
-    # the concept scores of each class id, and of all rows, in sorted lists;
-    # the size of each class
+    label_scores = np.empty(n) if with_label else None
+    # the concept scores of each class id, and of all rows, in sorted lists
     by_class: list[list[float]] = []
     overall: list[float] = []
-    counts: list[int] = []
     for i, score, label_score in log:
         if with_label:
             label_scores[i] = label_score
@@ -238,7 +236,6 @@ def interleave(
         # class ids are dense in order of arrival, so a new class takes the next
         if y == len(by_class):
             by_class.append([])
-            counts.append(0)
         concept_scores.append(score)
         insort(by_class[y], score)
         if with_black:
@@ -246,9 +243,8 @@ def interleave(
             p_black[k] = _rank(overall, score, tau_black[k])
         p_concept[k] = _rank(by_class[y], score, tau[k])
         if with_label:
-            counts[y] += 1
             p_label[k] = _rank_class_mean(
-                label_scores[: k + 1], labels[: k + 1], counts, y, tau_prime[k]
+                label_scores[: k + 1], labels[: k + 1], by_class, y, tau_prime[k]
             )
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

@@ -223,9 +223,22 @@ def test_labels_are_dense_ids_in_first_seen_order():
 
 
 def test_views_are_read_only():
-    cache = fill_cache(make_stream([0.0, 1.0], [0, 1]))
-    with pytest.raises(ValueError):
-        cache.d_same[0] = 5.0
+    cache = NnCache()
+    cache.extend(make_stream([0.0, 1.0], [0, 1]))
+    before = cache.labels
+    for view in (before, cache.d_same, cache.d_other):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 5
+    cache.extend(make_stream([3.0, 7.0, 8.0], [0, 2, 2]))
+    # the second extend moved the rows into new, larger storage, and the
+    # views of it are read-only too and show the new rows
+    assert not np.shares_memory(before, cache.labels)
+    for view in (cache.labels, cache.d_same, cache.d_other):
+        with pytest.raises(ValueError, match="read-only"):
+            view[-1] = 0
+    assert cache.labels.tolist() == [0, 1, 0, 2, 2]
+    assert cache.d_same.tolist() == [3.0, np.inf, 3.0, 1.0, 1.0]
+    assert cache.d_other.tolist() == [1.0, 1.0, 2.0, 4.0, 5.0]
 
 
 # --- score variants ---------------------------------------------------------

@@ -69,8 +69,9 @@ def test_observation_validates_inputs():
         Observation(np.array([[1.0]]), 0)
     with pytest.raises(ValueError):
         Observation(np.array([np.nan]), 0)
-    # a float or bool label is refused, not truncated to class 1
-    for label in (-1, 1.5, True):
+    # a float or bool label is refused, not truncated to class 1, and a
+    # label that a Stream refuses is refused here too
+    for label in (-1, 1.5, True, 2**63):
         with pytest.raises(ValueError, match="label"):
             Observation(np.array([0.0]), label)
 
@@ -103,6 +104,10 @@ def test_stream_refuses_malformed_objects():
         Stream(np.zeros((2, 1)), [0, 0, 0])
     with pytest.raises(ValueError, match="one dimension"):
         Stream.of([Observation(np.zeros(2), 0), Observation(np.zeros(3), 0)])
+    # labels that are not a 1-D sequence, a scalar among them
+    for labels in (1.5, 1, None, np.array(1.5)):
+        with pytest.raises(ValueError, match="labels must be a 1-D array"):
+            Stream(np.zeros((1, 1)), labels)
 
 
 @pytest.mark.parametrize("label", [1.5, True, -1, 2**63, 2.0])

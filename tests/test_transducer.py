@@ -152,6 +152,22 @@ def test_interleave_records_provenance_and_lengths():
     assert np.all((result.p_label >= 0) & (result.p_label <= 1))
 
 
+def test_interleave_of_a_one_shot_generator_matches_the_stream():
+    # the cache is the one place a stream is converted
+    stream = generate(ScenarioConfig("iid", n_steps=2 * _BLOCK + 5), RandomSource(4, "scenario"))
+
+    def legs(source):
+        return interleave(
+            source, "ratio", "same-class", RandomSource(4, "tau"), RandomSource(4, "tau-prime"),
+            RandomSource(4, "tau-black"),
+        )
+
+    got, want = legs(obs for obs in stream), legs(stream)
+    for leg in ("p_concept", "p_label", "p_black"):
+        assert np.array_equal(getattr(got, leg), getattr(want, leg)), leg
+    assert (got.concept_provenance, got.label_provenance) == (want.concept_provenance, want.label_provenance)
+
+
 def test_shared_source_mode_draws_concept_leg_first():
     stream = _stream([0.0, 4.0], [0, 1])
     shared = RandomSource(9, "shared")
