@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -58,19 +59,27 @@ JUMPER_EPSILONS = (-1.0, 0.0, 1.0)
 _MIXTURE_CLAMP = 1e-12
 _LOG10 = math.log(10.0)
 
-# 64-point Gauss-Legendre rule mapped onto (0, 1); exponents of the power
-# mixture and their weights.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
-_MIX_EPS = 0.5 * (_GL_X + 1.0)
-_MIX_W = 0.5 * _GL_W
-_MIX_LOG_EPS = np.log(_MIX_EPS)
-_MIX_LOG_W = np.log(_MIX_W)
-_MIX_EPS_M1 = _MIX_EPS - 1.0
 # Rows of mixture terms evaluated at once: a (128, 64) float64 block is
 # 64 KiB. On a 1000-step leg in a warm process (2-CPU x86-64, numpy 2.4)
 # 128 rows took 1.29 ms, 16 rows 2.0 ms, 512 rows 1.28 ms and one
 # 1000-row block 1.54 ms.
 _MIX_CHUNK_ROWS = 128
+
+
+@cache
+def _mixture_rule() -> tuple[np.ndarray, ...]:
+    """The 64-point Gauss-Legendre rule mapped onto (0, 1), made on first use
+    (``leggauss`` imports ``numpy.polynomial`` and solves an eigenproblem):
+    the power mixture's exponents e and their weights w, then log e, log w
+    and e - 1. The arrays are shared by every caller, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    eps = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
+    rule = eps, w, np.log(eps), np.log(w), eps - 1.0
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -139,12 +148,13 @@ def _mixture_log10_capital(n_bets, log_p_sums):
     ``_MIX_CHUNK_ROWS`` at a time with ``exp`` in place, so no temporary
     grows with the number of rows.
     """
+    _, _, log_eps, log_w, eps_m1 = _mixture_rule()
     out = np.empty(log_p_sums.size)
     for lo in range(0, out.size, _MIX_CHUNK_ROWS):
         hi = lo + _MIX_CHUNK_ROWS
-        terms = np.multiply.outer(n_bets[lo:hi], _MIX_LOG_EPS)
-        terms += _MIX_LOG_W
-        terms += np.multiply.outer(log_p_sums[lo:hi], _MIX_EPS_M1)
+        terms = np.multiply.outer(n_bets[lo:hi], log_eps)
+        terms += log_w
+        terms += np.multiply.outer(log_p_sums[lo:hi], eps_m1)
         top = terms.max(axis=1)
         terms -= top[:, None]
         np.exp(terms, out=terms)
@@ -307,14 +317,10 @@ def check_betting_validity(strategy, prefixes, jump_rate: float = 0.001) -> floa
             # F itself.
             n0 = len(prefix)
             log_p_total = np.log(np.clip(np.asarray(prefix), _MIXTURE_CLAMP, 1.0)).sum()
-            moments = 1.0 / _MIX_EPS
+            eps, w = _mixture_rule()[:2]
+            moments = 1.0 / eps
             integral = float(
-                np.sum(
-                    _MIX_W
-                    * _MIX_EPS ** (n0 + 1)
-                    * np.exp((_MIX_EPS - 1.0) * log_p_total)
-                    * moments
-                )
+                np.sum(w * eps ** (n0 + 1) * np.exp((eps - 1.0) * log_p_total) * moments)
             )
         else:
             integral = sum(

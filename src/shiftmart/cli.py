@@ -25,7 +25,6 @@ violation.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -115,13 +114,15 @@ def load_usps(train_path: str, test_path: str) -> Stream:
     Each row is whitespace-separated: an integer label 0-9 followed by 256
     pixel intensities in [-1, 1]. Malformed rows raise DataError naming the
     file and line. The rows are checked as they are parsed, and the stream
-    is built from them as one array of objects and one of labels.
+    is built from them as one array of objects and one of labels. The
+    stream makes the array of objects itself and so freezes it, and
+    ``NnCache.extend`` keeps those rows without a copy.
     """
     train_rows, train_labels = _parse_usps_file(train_path)
     test_rows, test_labels = _parse_usps_file(test_path)
     if not train_rows and not test_rows:
         raise DataError(f"no observations in {train_path} + {test_path}")
-    return Stream(np.array(train_rows + test_rows), np.array(train_labels + test_labels))
+    return Stream(train_rows + test_rows, np.array(train_labels + test_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +372,30 @@ def render_trajectory_csv(table: TrajectoryTable) -> str:
 
 
 def write_trajectory_csv(table: TrajectoryTable, path: str) -> None:
-    """Emit the table to ``path`` atomically, leaving no partial output.
+    """Emit the table to ``path``, following symbolic links to their target.
 
-    A path that cannot be written (a missing directory, a directory at
-    ``path``) raises ConfigError naming it.
+    A new path or a regular file is written atomically, leaving no partial
+    output: a temporary next to the target replaces it, so a link to it
+    stays a link. An existing file that is not regular, such as a FIFO or a
+    device, is written in place, since replacing it would put a regular file
+    where its reader or the device was. A path that cannot be written (a
+    missing directory, a directory at ``path``, a full device) raises
+    ConfigError naming it.
     """
-    tmp = f"{path}.tmp"
+    text = render_trajectory_csv(table)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        try:
+            with open(target, "w", encoding="ascii") as out:
+                out.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
+        return
+    tmp = f"{target}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as out:
-            out.write(render_trajectory_csv(table))
-        os.replace(tmp, path)
+            out.write(text)
+        os.replace(tmp, target)
     except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -529,6 +544,8 @@ _MAX_WORKERS = 64
 
 def _count(cap: int | None = None):
     """argparse type for a count: an integer from 1 up to ``cap``, else exit code 2."""
+    # argparse is imported by the command line alone, not by the library
+    import argparse
 
     def parse(text: str) -> int:
         try:
@@ -544,7 +561,9 @@ def _count(cap: int | None = None):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="shiftmart",
         description="Conformal martingales separating concept shift from label shift",

@@ -73,6 +73,23 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
+def _frozen(x: np.ndarray) -> bool:
+    """True when no one can write the rows ``x``: they are C-contiguous
+    float64, and neither ``x`` nor any array it views is writeable, down to
+    the array that owns the memory. ``Stream`` freezes the arrays that it
+    makes itself, and ``generate`` the array it fills."""
+    if x.dtype != np.float64 or not x.flags.c_contiguous:
+        return False
+    while isinstance(x, np.ndarray):
+        if x.flags.writeable:
+            return False
+        if x.base is None:
+            return True
+        x = x.base
+    # memory that an ndarray does not own, such as a buffer, may be written
+    return False
+
+
 def _read_only(view: np.ndarray) -> np.ndarray:
     """``view``, a fresh view of the storage, with writing through it refused."""
     view.flags.writeable = False
@@ -87,8 +104,11 @@ class NnCache:
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` takes a ``Stream``, whose two
     arrays are already checked, or converts anything else to one; it is the
-    engine's one conversion. It writes the stream's rows, class ids and
-    squared norms into the storage once, folds them into the minima in
+    engine's one conversion. The row storage of an empty cache is the
+    stream's own rows when no one can write them (``_frozen``), as for every
+    stream the library makes; otherwise, and when a later call needs room,
+    the rows are copied into writable storage. The class ids and squared
+    norms are written once. ``extend`` folds the new rows into the minima in
     blocks of up to ``_BLOCK`` rows, committing each block's steps at once,
     and returns a log of the rows whose minima each step changed; ``insert``
     is a stream of one. Small blocks and caches evaluate the formula on
@@ -144,8 +164,11 @@ class NnCache:
         """Per-point distance to the nearest other-label point (read-only view)."""
         return _read_only(self._nearest[1, : self._n])
 
-    def _reserve(self, capacity: int):
-        x = np.empty((capacity, self._dim), dtype=np.float64)
+    def _reserve(self, capacity: int, rows: np.ndarray | None = None):
+        """Grow the storage to ``capacity`` rows, copying the stored prefix.
+        ``rows``, frozen rows of exactly that many points, become the row
+        storage of an empty cache in place of a new writable array."""
+        x = np.empty((capacity, self._dim), dtype=np.float64) if rows is None else rows
         norms = np.empty(capacity, dtype=np.float64)
         labels = np.empty(capacity, dtype=np.int64)
         nearest = np.empty((2, capacity), dtype=np.float64)
@@ -186,8 +209,10 @@ class NnCache:
         and so does anything that ``Stream.of`` refuses, such as a label of
         1.5 or ``True``; either way the cache is left exactly as it was, its
         dimension included. The storage grows at most once per call, and the
-        stream's rows, class ids and squared norms are written once, before
-        the first block.
+        stream's class ids and squared norms are written once, before the
+        first block. Into an empty cache, frozen rows (``_frozen``) are kept
+        as the row storage itself; other rows are copied, so that a caller's
+        later writes to its own array cannot change the minima.
         """
         if not isinstance(stream, Stream):
             stream = Stream.of(stream)
@@ -201,11 +226,14 @@ class NnCache:
         self._dim = dim
         n0 = self._n
         n = n0 + len(stream)
-        capacity = self._x.shape[0]
-        if n > capacity:
-            self._reserve(max(n, 2 * capacity))
+        if not n0 and _frozen(stream.x):
+            self._reserve(n, rows=stream.x)
+        else:
+            capacity = self._x.shape[0]
+            if n > capacity:
+                self._reserve(max(n, 2 * capacity))
+            self._x[n0:n] = stream.x
         new = self._x[n0:n]
-        new[:] = stream.x
         # a new label's id is the count of distinct labels inserted before it
         class_ids = self._class_ids
         self._labels[n0:n] = [class_ids.setdefault(y, len(class_ids)) for y in stream.y.tolist()]

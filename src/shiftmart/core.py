@@ -102,6 +102,19 @@ def _label_array(y) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
+def _read_only_view(array: np.ndarray, given) -> np.ndarray:
+    """A read-only view of ``array``, the conversion of ``given``. When the
+    conversion made ``array`` (from a list or a tuple, or from an array of
+    another dtype), no one else holds it, so its own writing is refused too.
+    Other objects can hand out an array they keep, which stays writable."""
+    made = array is not given and array.base is None
+    if made and isinstance(given, (np.ndarray, list, tuple)):
+        array.flags.writeable = False
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class Stream:
     """A checked stream of n steps: the objects ``x``, a read-only float64
@@ -111,10 +124,17 @@ class Stream:
     It is checked once, in one vectorised pass: ``x`` is 2-D and finite, and
     every label is an integer in [0, 2**63), refusing bools and floats as
     ``integer_field`` does. Arrays that already have these types are not
-    copied; the stream holds read-only views of them. A stream works like a
-    list of observations: ``len``, iteration (one ``Observation`` a step),
-    indexing and slicing (a slice is a ``Stream``). ``Stream.of`` builds one
-    from observations.
+    copied; the stream holds read-only views of them, and their owner stays
+    as writable as it was. An array the conversion made (from a list, or
+    from another dtype) is held by the stream alone, so it is frozen: the
+    stream holds a read-only view of an owner that is read-only too, and
+    ``NnCache.extend`` can keep such rows without copying them. ``Stream.of``
+    and ``load_usps`` let the stream make their array of objects, and
+    ``generate`` freezes the array it fills, so the objects of every stream
+    the library makes are frozen. A stream works like a list of
+    observations: ``len``, iteration (one
+    ``Observation`` a step), indexing and slicing (a slice is a ``Stream``).
+    ``Stream.of`` builds one from observations.
     """
 
     x: np.ndarray
@@ -129,16 +149,15 @@ class Stream:
             raise ValueError(f"{x.shape[0]} objects but {y.size} labels")
         if not np.isfinite(x).all():
             raise ValueError("object vector contains non-finite entries")
-        x, y = x.view(), y.view()
-        x.flags.writeable = y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _read_only_view(x, self.x))
+        object.__setattr__(self, "y", _read_only_view(y, self.y))
 
     @classmethod
     def of(cls, observations: Iterable) -> Stream:
         """The stream of ``observations``, in order: anything with an object
         vector ``x`` and a label ``y``, such as ``Observation``. ValueError
-        unless the objects are 1-D vectors of one dimension."""
+        unless the objects are 1-D vectors of one dimension. The objects are
+        copied into one new array, which the stream freezes."""
         xs, ys = [], []
         for obs in observations:
             xs.append(np.asarray(obs.x, dtype=np.float64))
@@ -146,7 +165,7 @@ class Stream:
         shapes = {x.shape for x in xs}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError(f"objects must be 1-D vectors of one dimension, got shapes {sorted(shapes)}")
-        return cls(np.array(xs) if xs else np.empty((0, 0)), ys)
+        return cls(xs if xs else np.empty((0, 0)), ys)
 
     def __len__(self) -> int:
         return self.y.size

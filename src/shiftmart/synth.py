@@ -141,7 +141,9 @@ def generate(config: ScenarioConfig, source: RandomSource) -> Stream:
     the normals in the row of a preallocated (n_steps, dim) array; the
     concept shift is one add to the rows after the changepoint. Those are
     the additions of building each object on its own, so the stream keeps
-    its bits, and no (n_steps, dim) temporary is made.
+    its bits, and no (n_steps, dim) temporary is made. The filled array is
+    then frozen, so the stream holds the only reference to rows no one can
+    write, and ``NnCache.extend`` keeps them without a copy.
     """
     k = config.n_classes
     centres = list(class_centres(k, config.dim))
@@ -168,6 +170,7 @@ def generate(config: ScenarioConfig, source: RandomSource) -> Stream:
     if config.scenario == "concept-shift":
         shift_direction = np.full(config.dim, 1.0 / np.sqrt(config.dim))
         x[config.changepoint :] += config.shift_magnitude * shift_direction
+    x.flags.writeable = False
     return Stream(x, np.array(labels, dtype=np.int64))
 
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def test_loader_returns_train_then_test_rows(usps_files):
     assert [o.y for o in observations] == [0, 1, 9, 5]
     assert all(o.x.size == 256 for o in observations)
     assert observations[0].x[0] == pytest.approx(0.1)
+    # the stream made its array of objects, so it froze it
+    assert not observations.x.base.flags.writeable
 
 
 def test_loader_rejects_empty_pair(tmp_path):
@@ -809,6 +812,41 @@ def test_run_command_reports_an_unwritable_output(tmp_path, capsys):
     assert str(occupied) in capsys.readouterr().err
     assert list(occupied.iterdir()) == []
     assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", occupied]
+
+
+def test_run_command_writes_through_a_symlink(tmp_path):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    target = tmp_path / "target.csv"
+    target.write_text("")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["run", "--config", config_path, "--output", str(link)]) == EXIT_OK
+    # the link stays a link, and its target holds the table
+    assert link.is_symlink() and link.resolve() == target
+    assert read_trajectory_csv(str(target)).n_steps == 40
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "link.csv", "target.csv"]
+
+
+def test_run_command_writes_into_a_fifo(tmp_path):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, encoding="ascii") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(["run", "--config", config_path, "--output", str(fifo)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    # the FIFO is still one, and its reader got the whole table
+    assert fifo.is_fifo() and sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "fifo"]
+    path = tmp_path / "received.csv"
+    path.write_text(received[0])
+    assert read_trajectory_csv(str(path)).n_steps == 40
 
 
 def test_sweep_rejects_an_out_dir_that_is_a_file(tmp_path, capsys):

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmart import NN_VARIANTS, NnCache, Observation, label_average, score_nn
+from shiftmart import (
+    NN_VARIANTS,
+    NnCache,
+    Observation,
+    RandomSource,
+    ScenarioConfig,
+    Stream,
+    generate,
+    label_average,
+    score_nn,
+)
 from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS
 
 from oracles import nn_distances_bruteforce
@@ -239,6 +249,45 @@ def test_views_are_read_only():
     assert cache.labels.tolist() == [0, 1, 0, 2, 2]
     assert cache.d_same.tolist() == [3.0, np.inf, 3.0, 1.0, 1.0]
     assert cache.d_other.tolist() == [1.0, 1.0, 2.0, 4.0, 5.0]
+
+
+def test_extend_keeps_a_frozen_stream_without_copying_its_rows():
+    config = ScenarioConfig("iid", n_steps=1000, n_classes=10, dim=256)
+    stream = generate(config, RandomSource(4, "rows"))
+    cache = NnCache()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        cache.extend(stream)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the class ids, squared norms and both minima: 32 bytes a point
+    assert after - before < stream.x.nbytes / 10
+    # a copy of the rows, which the caller can write, is copied into the
+    # cache, and the minima are the same
+    reference = NnCache()
+    reference.extend(Stream(stream.x.copy(), stream.y))
+    assert_same_state(cache, reference, "kept rows against copied rows")
+
+
+def test_extend_copies_rows_that_their_caller_can_still_write():
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(3 * _BLOCK, 8))
+    labels = rng.integers(0, 3, size=3 * _BLOCK)
+    head = 2 * _BLOCK + 5
+    writable = points[:head].copy()
+    cache, reference = NnCache(), NnCache()
+    cache.extend(Stream(writable, labels[:head]))
+    reference.extend(Stream(points[:head].copy(), labels[:head]))
+    # the caller's later writes must not reach the cache's rows
+    writable[:] = 0.0
+    tail = Stream(points[head:], labels[head:])
+    for got, want in zip(cache.extend(tail), reference.extend(tail)):
+        assert np.array_equal(got, want)
+    assert_same_state(cache, reference, "after the caller wrote its rows")
+    d_same, d_other = nn_distances_bruteforce(points, labels)
+    assert np.array_equal(cache.d_same, d_same) and np.array_equal(cache.d_other, d_other)
 
 
 # --- score variants ---------------------------------------------------------

@@ -95,6 +95,35 @@ def test_stream_holds_checked_read_only_arrays():
     assert Stream.of(iter([])).x.shape == (0, 0) and len(Stream.of([])) == 0
 
 
+class ArrayHolder:
+    """An object that hands out its own array, as some array containers do."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __array__(self, dtype=None, copy=None):
+        return self.data
+
+
+def test_stream_freezes_only_the_arrays_it_made():
+    x = np.arange(6.0).reshape(3, 2)
+    y = np.array([2, 0, 2])
+    holder = ArrayHolder(x.copy())
+    for stream in (Stream(x, y), Stream(holder, y)):
+        assert np.array_equal(stream.x, x)
+    # arrays that a caller holds stay writable
+    assert x.flags.writeable and y.flags.writeable and holder.data.flags.writeable
+    made = (
+        Stream(x.tolist(), y.tolist()),
+        Stream(x.astype(np.float32), y.astype(np.uint8)),
+        Stream.of(Stream(x, y)),
+    )
+    for stream in made:
+        assert np.array_equal(stream.x, x) and np.array_equal(stream.y, y)
+        for array in (stream.x, stream.y):
+            assert array.base.base is None and not array.base.flags.writeable
+
+
 def test_stream_refuses_malformed_objects():
     with pytest.raises(ValueError, match="2-D"):
         Stream(np.zeros(3), [0, 0, 0])

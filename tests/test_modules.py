@@ -1,6 +1,10 @@
 """Tooling check on the layout of the library's modules."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import shiftmart
@@ -178,3 +182,21 @@ def test_only_the_cache_converts_a_stream(tmp_path):
     assert stream_of_calls(sample) == 2
     found = {path.name: stream_of_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert [name for name, calls in found.items() if calls] == ["conformity.py"]
+
+
+def test_importing_the_library_defers_what_only_some_calls_need():
+    # pytest itself imports argparse, so the import is checked in a fresh
+    # interpreter: argparse is for the command line, numpy.polynomial for the
+    # mixture's quadrature rule, and both load on first use
+    deferred = ["argparse", "numpy.polynomial"]
+    script = f"import sys, json, shiftmart; print(json.dumps([m for m in {deferred!r} if m in sys.modules]))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(result.stdout) == []

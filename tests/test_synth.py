@@ -196,6 +196,8 @@ def test_streams_are_checked_arrays():
     assert stream.x.shape == (5, 3) and stream.x.dtype == np.float64
     assert stream.y.shape == (5,) and stream.y.dtype == np.int64
     assert not stream.x.flags.writeable and not stream.y.flags.writeable
+    # the filled array of objects is frozen too, so a cache can keep it
+    assert stream.x.base.base is None and not stream.x.base.flags.writeable
     assert all(isinstance(o, Observation) for o in stream)
 
 
