@@ -540,9 +540,11 @@ def _cmd_report(args) -> int:
 _MAX_BINS = 1000
 # one process per ``sweep`` worker: a mistyped ``--workers`` cannot start thousands
 _MAX_WORKERS = 64
+# one CSV file per ``sweep`` seed, and one task built per seed before any runs
+_MAX_SEEDS = 100_000
 
 
-def _count(cap: int | None = None):
+def _count(cap: int):
     """argparse type for a count: an integer from 1 up to ``cap``, else exit code 2."""
     # argparse is imported by the command line alone, not by the library
     import argparse
@@ -554,7 +556,7 @@ def _count(cap: int | None = None):
             value = 0
         if value < 1:
             raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-        if cap is not None and value > cap:
+        if value > cap:
             raise argparse.ArgumentTypeError(f"expected at most {cap}, got {text!r}")
         return value
 
@@ -590,7 +592,7 @@ def _build_parser():
 
     sweep = sub.add_parser("sweep", help="fan one config out over many seeds")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--seeds", type=_count(), required=True, help="number of seeds")
+    sweep.add_argument("--seeds", type=_count(_MAX_SEEDS), required=True, help="number of seeds")
     sweep.add_argument("--seed", type=int, default=None, help="first seed (default: config seed)")
     sweep.add_argument("--out-dir", dest="out_dir", required=True)
     workers = min(os.cpu_count() or 1, _MAX_WORKERS)

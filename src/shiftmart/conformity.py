@@ -343,18 +343,19 @@ class NnCache:
 
             |a_ji - q_ji| <= ((4 d + 8) u (S_i + T) + 5 d eta) (1 + O(d u)).
 
-        The screen uses E_ji = 8 (d + 4) (u (s_i + t_j) + 2 eta), about twice
-        that, split into a row part e_i = 8 (d + 4) u s_i and a point part
-        f_j = 8 (d + 4) (u t_j + 2 eta). It forms the upper bound
-        hi_ji = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j) and then, in the same
-        array, the lower bound lo_ji = (hi_ji - 2 e_i) - 2 f_j. The product
-        -2 X_i.x_j is taken with -2 x_j, which doubling gives exactly, so it
-        is off by at most twice the error of X_i.x_j, as counted above (an
-        x_j large enough for the doubling to overflow has t_j = inf, and its
-        pairs become candidates as described below). Rounding e_i,
-        f_j, these sums and differences and the squared thresholds below
-        costs a few u (S_i + T) in all, well inside the room the factor of
-        two leaves. Hence lo_ji <= q_ji <= hi_ji.
+        E_ji = 8 (d + 4) (u (s_i + t_j) + 2 eta) is about twice that. The
+        screen uses one term per new point, E_j = 8 (d + 4)
+        (u (s_max + t_j) + 2 eta) with s_max the largest s_i of the stored
+        rows, so E_j >= E_ji. It forms only the lower bound
+        lo_ji = (-2 X_i.x_j + s_i) + (t_j - E_j); the upper bound is
+        hi_ji = lo_ji + 2 E_j. The product -2 X_i.x_j is taken with -2 x_j,
+        which doubling gives exactly, so it is off by at most twice the
+        error of X_i.x_j, as counted above (an x_j large enough for the
+        doubling to overflow has t_j = inf, and its pairs become candidates
+        as described below). Rounding E_j, these sums, the sum with 2 E_j
+        below and the squared thresholds costs a few u (S_i + T) plus a few
+        u E_j in all, well inside the room of at least E_j / 2 that the
+        factor of two leaves. Hence lo_ji <= q_ji <= hi_ji.
 
         Candidates. As sqrt and rounding are monotone, the pair is skipped
         only when lo_ji > m_i**2, so its distance cannot undercut m_i, row
@@ -362,40 +363,36 @@ class NnCache:
         ``d_other`` otherwise) at the start of the block, and lo_ji > h_j,
         where h_j is the smallest hi_ji over the stored rows of its kind
         (same label as x_j, or another label), so it cannot attain the new
-        point's own minimum of that kind. Minima only shrink, so m_i at the
-        start of the block is at least m_i at step j, and h_j over the stored
-        rows is at least the smallest hi over all rows before x_j, so a pair
-        skipped against the values at the start of the block cannot change
-        a minimum at step j either. A pair is skipped only where
+        point's own minimum of that kind. As E_j does not depend on i, h_j is
+        the smallest lo_ji of that kind plus 2 E_j. Minima only shrink, so
+        m_i at the start of the block is at least m_i at step j, and h_j over
+        the stored rows is at least the smallest hi over all rows before x_j,
+        so a pair skipped against the values at the start of the block cannot
+        change a minimum at step j either. A pair is skipped only where
         ``lo > max(m**2, h)`` holds, and ``np.maximum`` propagates NaN, so a
         NaN or infinite approximation, e.g. from squared norms that overflow
         for entries near 1e154, makes the pair a candidate. The exact
         formula is then applied to the candidates only, as for a small cache.
         """
         x = self._x
-        scale = 8.0 * (self._dim + 4)
         s = self._norms[:n0]
         t = self._norms[n0:n, None]
         same = self._labels[:n0] == self._labels[n0:n, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            err_s = scale * _UNIT_ROUNDOFF * s
-            err_t = scale * (_UNIT_ROUNDOFF * t + _SMALLEST_SUBNORMAL)
-            # hi = (-2 X_i.x_j + (s_i + e_i)) + (t_j + f_j)
-            bound = (-2.0 * x[n0:n]) @ x[:n0].T
-            bound += s + err_s
-            bound += t + err_t
-            own_same = np.where(same, bound, np.inf).min(axis=1, initial=np.inf, keepdims=True)
-            own_other = np.where(same, np.inf, bound).min(axis=1, initial=np.inf, keepdims=True)
-            # hi becomes lo
-            bound -= 2.0 * err_s
-            bound -= 2.0 * err_t
+            err = 8.0 * (self._dim + 4) * (_UNIT_ROUNDOFF * (s.max() + t) + _SMALLEST_SUBNORMAL)
+            # lo = (-2 X_i.x_j + s_i) + (t_j - E_j)
+            lo = (-2.0 * x[n0:n]) @ x[:n0].T
+            lo += s
+            lo += t - err
+            own_same = np.where(same, lo, np.inf).min(axis=1, initial=np.inf, keepdims=True)
+            own_other = np.where(same, np.inf, lo).min(axis=1, initial=np.inf, keepdims=True)
             d_same, d_other = self._nearest[:, :n0]
             threshold = np.where(
                 same,
-                np.maximum(d_same * d_same, own_same),
-                np.maximum(d_other * d_other, own_other),
+                np.maximum(d_same * d_same, own_same + 2.0 * err),
+                np.maximum(d_other * d_other, own_other + 2.0 * err),
             )
-            np.logical_not(bound > threshold, out=out)
+            np.logical_not(lo > threshold, out=out)
 
 
 def _extended_ratio(num, den: np.ndarray) -> np.ndarray:

@@ -655,6 +655,16 @@ def test_sweep_refuses_more_workers_than_the_cap(tmp_path, pool_sizes, capsys):
     assert cli._build_parser().parse_args(argv).workers <= cli._MAX_WORKERS
 
 
+def test_sweep_refuses_more_seeds_than_the_cap(capsys):
+    # parsed only: an accepted count would start the whole sweep
+    argv = ["sweep", "--config", "c.json", "--out-dir", "out", "--seeds"]
+    assert cli._build_parser().parse_args(argv + [str(cli._MAX_SEEDS)]).seeds == cli._MAX_SEEDS
+    with pytest.raises(SystemExit) as exit_info:
+        cli._build_parser().parse_args(argv + [str(cli._MAX_SEEDS + 1)])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"expected at most {cli._MAX_SEEDS}" in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_seed_and_counts(tmp_path, capsys):
     out_dir = str(tmp_path / "sweep")
     bad_seed = write_config(tmp_path, scenario_config_dict(seed="7"))

@@ -156,6 +156,48 @@ def test_extend_matches_one_at_a_time_inserts_and_the_full_scan():
     assert checked == 36
 
 
+def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
+    """In each screened block, a pair whose exact distance is below its stored
+    row's minimum of its kind at the start of the block, or attains the new
+    point's smallest distance of its kind over the stored rows, is a
+    candidate."""
+    calls = []
+    screen = NnCache._screen
+
+    def recording_screen(cache, n0, n, out):
+        screen(cache, n0, n, out)
+        calls.append((out.copy(), cache._x[:n].copy(), cache._labels[:n].copy(),
+                      cache._nearest[:, :n0].copy()))
+
+    monkeypatch.setattr(NnCache, "_screen", recording_screen)
+    rng = np.random.default_rng(29)
+    streams = {}
+    for n, d in ((160, 2), (96, 8)):
+        # the last full block is screened
+        assert _BLOCK * (n - _BLOCK) * d >= SCREEN_MIN_FLOATS
+        for name, stream in _screened_streams(rng, n, d, 3).items():
+            streams[f"{name} (d={d})"] = stream
+    # the largest stored squared norm is far above a typical one
+    far = rng.normal(size=(96, 8))
+    far[0] *= 10
+    streams["one far row (d=8)"] = far, rng.integers(0, 3, size=96)
+    for context, (points, labels) in streams.items():
+        calls.clear()
+        NnCache().extend(Stream(points, labels))
+        assert calls, context
+        for mask, x, ids, start in calls:
+            n0 = start.shape[1]
+            with np.errstate(over="ignore"):
+                dist = np.sqrt(((x[n0:, None] - x[:n0]) ** 2).sum(axis=2))
+            kind = (ids[n0:, None] != ids[:n0]).astype(np.intp)
+            needed = dist < start[kind, np.arange(n0)]
+            for k in (0, 1):
+                of_kind = np.where(kind == k, dist, np.inf)
+                needed |= (kind == k) & (of_kind == of_kind.min(axis=1, keepdims=True))
+            missed = np.count_nonzero(needed & ~mask)
+            assert not missed, f"{context}, block at {n0}: {missed} pairs missed"
+
+
 def test_extend_stops_at_a_mismatched_dimension_mid_block():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(46, 64))
