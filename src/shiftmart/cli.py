@@ -113,16 +113,17 @@ def load_usps(train_path: str, test_path: str) -> Stream:
 
     Each row is whitespace-separated: an integer label 0-9 followed by 256
     pixel intensities in [-1, 1]. Malformed rows raise DataError naming the
-    file and line. The rows are checked as they are parsed, and the stream
-    is built from them as one array of objects and one of labels. The
-    stream makes the array of objects itself and so freezes it, and
-    ``NnCache.extend`` keeps those rows without a copy.
+    file and line. The rows are checked as they are parsed. The stream
+    makes one array of objects from them, and the array of labels is
+    frozen, so the stream keeps both without a copy.
     """
     train_rows, train_labels = _parse_usps_file(train_path)
     test_rows, test_labels = _parse_usps_file(test_path)
     if not train_rows and not test_rows:
         raise DataError(f"no observations in {train_path} + {test_path}")
-    return Stream(train_rows + test_rows, np.array(train_labels + test_labels))
+    labels = np.array(train_labels + test_labels)
+    labels.flags.writeable = False
+    return Stream(train_rows + test_rows, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +133,11 @@ def load_usps(train_path: str, test_path: str) -> Stream:
 
 def _is_path(value) -> bool:
     """True for a string open() takes as a path. It would take an integer (or a
-    bool) as a file descriptor, it raises ValueError on a NUL character, and
-    UnicodeEncodeError on a string the file system encoding cannot encode,
-    such as a lone surrogate from a JSON escape."""
-    if not isinstance(value, str) or "\0" in value:
+    bool) as a file descriptor, it names no file with an empty string, it
+    raises ValueError on a NUL character, and UnicodeEncodeError on a string
+    the file system encoding cannot encode, such as a lone surrogate from a
+    JSON escape."""
+    if not isinstance(value, str) or not value or "\0" in value:
         return False
     try:
         os.fsencode(value)
@@ -287,10 +289,7 @@ def _load_stream(config: ExperimentConfig) -> Stream:
     if isinstance(config.data, UspsPaths):
         return load_usps(config.data.train_path, config.data.test_path)
     scenario_seed = config.data.seed if config.data.seed is not None else config.seed
-    try:
-        return generate(config.data, RandomSource(scenario_seed, "scenario"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return generate(config.data, RandomSource(scenario_seed, "scenario"))
 
 
 def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
@@ -376,11 +375,14 @@ def write_trajectory_csv(table: TrajectoryTable, path: str) -> None:
 
     A new path or a regular file is written atomically, leaving no partial
     output: a temporary next to the target replaces it, so a link to it
-    stays a link. An existing file that is not regular, such as a FIFO or a
-    device, is written in place, since replacing it would put a regular file
-    where its reader or the device was. A path that cannot be written (a
-    missing directory, a directory at ``path``, a full device) raises
-    ConfigError naming it.
+    stays a link. The temporary is a new file under a short name of this
+    call's own, created with the permissions of ``open`` (0o666 less the
+    umask), so no existing file, directory or link is opened or removed,
+    and the target may have any name its directory takes. An existing file
+    that is not regular, such as a FIFO or a device, is written in place,
+    since replacing it would put a regular file where its reader or the
+    device was. A path that cannot be written (a missing directory, a
+    directory at ``path``, a full device) raises ConfigError naming it.
     """
     text = render_trajectory_csv(table)
     target = os.path.realpath(path)
@@ -391,13 +393,16 @@ def write_trajectory_csv(table: TrajectoryTable, path: str) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
         return
-    tmp = f"{target}.tmp"
+    tmp = os.path.join(os.path.dirname(target), f".shiftmart-{os.urandom(8).hex()}.tmp")
+    created = False
     try:
-        with open(tmp, "w", encoding="ascii") as out:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+        with open(fd, "w", encoding="ascii") as out:
             out.write(text)
         os.replace(tmp, target)
     except BaseException as exc:
-        if os.path.exists(tmp):
+        if created:
             os.remove(tmp)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output {path}: {exc}") from exc

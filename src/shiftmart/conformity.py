@@ -73,23 +73,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
-def _frozen(x: np.ndarray) -> bool:
-    """True when no one can write the rows ``x``: they are C-contiguous
-    float64, and neither ``x`` nor any array it views is writeable, down to
-    the array that owns the memory. ``Stream`` freezes the arrays that it
-    makes itself, and ``generate`` the array it fills."""
-    if x.dtype != np.float64 or not x.flags.c_contiguous:
-        return False
-    while isinstance(x, np.ndarray):
-        if x.flags.writeable:
-            return False
-        if x.base is None:
-            return True
-        x = x.base
-    # memory that an ndarray does not own, such as a buffer, may be written
-    return False
-
-
 def _read_only(view: np.ndarray) -> np.ndarray:
     """``view``, a fresh view of the storage, with writing through it refused."""
     view.flags.writeable = False
@@ -104,10 +87,9 @@ class NnCache:
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` takes a ``Stream``, whose two
     arrays are already checked, or converts anything else to one; it is the
-    engine's one conversion. The row storage of an empty cache is the
-    stream's own rows when no one can write them (``_frozen``), as for every
-    stream the library makes; otherwise, and when a later call needs room,
-    the rows are copied into writable storage. The class ids and squared
+    engine's one conversion. No one can write a stream's rows, so the row
+    storage of an empty cache is the first stream's rows; a later call
+    copies them into larger, writable storage. The class ids and squared
     norms are written once. ``extend`` folds the new rows into the minima in
     blocks of up to ``_BLOCK`` rows, committing each block's steps at once,
     and returns a log of the rows whose minima each step changed; ``insert``
@@ -127,7 +109,6 @@ class NnCache:
     """
 
     def __init__(self):
-        self._dim: int | None = None
         self._n = 0
         self._x = np.empty((0, 0))
         self._norms = np.empty(0)
@@ -142,7 +123,8 @@ class NnCache:
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        """The width of the stored rows, or None while the cache is empty."""
+        return self._x.shape[1] if self._n else None
 
     @property
     def labels(self) -> np.ndarray:
@@ -166,9 +148,9 @@ class NnCache:
 
     def _reserve(self, capacity: int, rows: np.ndarray | None = None):
         """Grow the storage to ``capacity`` rows, copying the stored prefix.
-        ``rows``, frozen rows of exactly that many points, become the row
+        ``rows``, a stream's rows of exactly that many points, become the row
         storage of an empty cache in place of a new writable array."""
-        x = np.empty((capacity, self._dim), dtype=np.float64) if rows is None else rows
+        x = np.empty((capacity, self._x.shape[1])) if rows is None else rows
         norms = np.empty(capacity, dtype=np.float64)
         labels = np.empty(capacity, dtype=np.int64)
         nearest = np.empty((2, capacity), dtype=np.float64)
@@ -210,23 +192,20 @@ class NnCache:
         1.5 or ``True``; either way the cache is left exactly as it was, its
         dimension included. The storage grows at most once per call, and the
         stream's class ids and squared norms are written once, before the
-        first block. Into an empty cache, frozen rows (``_frozen``) are kept
-        as the row storage itself; other rows are copied, so that a caller's
-        later writes to its own array cannot change the minima.
+        first block. An empty cache keeps the stream's rows as its row
+        storage.
         """
         if not isinstance(stream, Stream):
             stream = Stream.of(stream)
         if not len(stream):
             return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
-        dim = stream.x.shape[1]
-        if self._dim is not None and dim != self._dim:
-            raise ValueError(
-                f"object dimension {dim} does not match cache dimension {self._dim}"
-            )
-        self._dim = dim
         n0 = self._n
+        if n0 and stream.x.shape[1] != self.dim:
+            raise ValueError(
+                f"object dimension {stream.x.shape[1]} does not match cache dimension {self.dim}"
+            )
         n = n0 + len(stream)
-        if not n0 and _frozen(stream.x):
+        if not n0:
             self._reserve(n, rows=stream.x)
         else:
             capacity = self._x.shape[0]
@@ -276,7 +255,7 @@ class NnCache:
         x = self._x
         # the j-th row of the block meets rows n0 + j - 1 and before
         pairs = np.arange(n) < np.arange(n0, n)[:, None]
-        if b * n0 * self._dim >= SCREEN_MIN_FLOATS:
+        if b * n0 * x.shape[1] >= SCREEN_MIN_FLOATS:
             self._screen(n0, n, pairs[:, :n0])
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
@@ -379,7 +358,7 @@ class NnCache:
         t = self._norms[n0:n, None]
         same = self._labels[:n0] == self._labels[n0:n, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            err = 8.0 * (self._dim + 4) * (_UNIT_ROUNDOFF * (s.max() + t) + _SMALLEST_SUBNORMAL)
+            err = 8.0 * (x.shape[1] + 4) * (_UNIT_ROUNDOFF * (s.max() + t) + _SMALLEST_SUBNORMAL)
             # lo = (-2 X_i.x_j + s_i) + (t_j - E_j)
             lo = (-2.0 * x[n0:n]) @ x[:n0].T
             lo += s

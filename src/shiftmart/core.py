@@ -102,17 +102,18 @@ def _label_array(y) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
-def _read_only_view(array: np.ndarray, given) -> np.ndarray:
-    """A read-only view of ``array``, the conversion of ``given``. When the
-    conversion made ``array`` (from a list or a tuple, or from an array of
-    another dtype), no one else holds it, so its own writing is refused too.
-    Other objects can hand out an array they keep, which stays writable."""
-    made = array is not given and array.base is None
-    if made and isinstance(given, (np.ndarray, list, tuple)):
+def _held(array: np.ndarray, given) -> np.ndarray:
+    """A read-only view of ``array``, the conversion of ``given``, or of a
+    copy of it: the array a ``Stream`` holds, by the rule stated there."""
+    if array is not given and array.base is None and isinstance(given, (np.ndarray, list, tuple)):
+        # the conversion made it, so no one else holds it
         array.flags.writeable = False
-    view = array.view()
-    view.flags.writeable = False
-    return view
+    owner = array if array.base is None else array.base
+    frozen = isinstance(owner, np.ndarray) and owner.base is None and not owner.flags.writeable
+    if not (frozen and array.flags.c_contiguous and not array.flags.writeable):
+        array = array.copy()
+        array.flags.writeable = False
+    return array.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,43 +122,46 @@ class Stream:
     array of shape (n, d), and the labels ``y``, a read-only int64 array of
     shape (n,).
 
-    It is checked once, in one vectorised pass: ``x`` is 2-D and finite, and
+    No one can write either array. A stream keeps an array only when its
+    own conversion made it (from a list or a tuple, or from an array of
+    another dtype), and freezes it, or when it is read-only and C-contiguous
+    and its memory is owned by a read-only ndarray, itself or the ndarray
+    its ``.base`` names. Anything else, such as a caller's writable array, a
+    read-only view of writable memory, a buffer or what an ``__array__``
+    method hands out, is copied once, and the copy frozen. So a caller's
+    later writes to its own arrays cannot reach the stream, and
+    ``NnCache.extend`` keeps the rows without a copy. The arrays are checked
+    once, in one vectorised pass: ``x``, once held, is 2-D and finite, and
     every label is an integer in [0, 2**63), refusing bools and floats as
-    ``integer_field`` does. Arrays that already have these types are not
-    copied; the stream holds read-only views of them, and their owner stays
-    as writable as it was. An array the conversion made (from a list, or
-    from another dtype) is held by the stream alone, so it is frozen: the
-    stream holds a read-only view of an owner that is read-only too, and
-    ``NnCache.extend`` can keep such rows without copying them. ``Stream.of``
-    and ``load_usps`` let the stream make their array of objects, and
-    ``generate`` freezes the array it fills, so the objects of every stream
-    the library makes are frozen. A stream works like a list of
-    observations: ``len``, iteration (one
-    ``Observation`` a step), indexing and slicing (a slice is a ``Stream``).
-    ``Stream.of`` builds one from observations.
+    ``integer_field`` does; an integer array's labels are checked as they
+    are converted, since a uint64 label must be checked before it becomes
+    an int64. A stream works like a list of observations:
+    ``len``, iteration (one ``Observation`` a step), indexing and slicing
+    (a slice is a ``Stream`` that shares the arrays). ``Stream.of`` builds
+    one from observations.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = _held(np.asarray(self.x, dtype=np.float64), self.x)
         if x.ndim != 2:
             raise ValueError(f"objects must be a 2-D array, got shape {x.shape}")
-        y = _label_array(self.y)
+        y = _held(_label_array(self.y), self.y)
         if y.size != x.shape[0]:
             raise ValueError(f"{x.shape[0]} objects but {y.size} labels")
         if not np.isfinite(x).all():
             raise ValueError("object vector contains non-finite entries")
-        object.__setattr__(self, "x", _read_only_view(x, self.x))
-        object.__setattr__(self, "y", _read_only_view(y, self.y))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @classmethod
     def of(cls, observations: Iterable) -> Stream:
         """The stream of ``observations``, in order: anything with an object
         vector ``x`` and a label ``y``, such as ``Observation``. ValueError
         unless the objects are 1-D vectors of one dimension. The objects are
-        copied into one new array, which the stream freezes."""
+        copied into one new array, which the stream keeps."""
         xs, ys = [], []
         for obs in observations:
             xs.append(np.asarray(obs.x, dtype=np.float64))

@@ -101,6 +101,8 @@ class ScenarioConfig:
                 raise ValueError(f"{self.scenario} requires a changepoint")
             if not 0 < self.changepoint <= self.n_steps:
                 raise ValueError("changepoint must satisfy 0 < changepoint <= n_steps")
+        elif self.changepoint is not None:
+            raise ValueError(f"changepoint is for concept-shift and label-shift only, not {self.scenario}")
         if self.scenario == "markov-labels":
             k = self.n_classes
             matrix = self.label_transition
@@ -111,6 +113,8 @@ class ScenarioConfig:
             row_sums = np.array(matrix).sum(axis=1)
             if (np.abs(row_sums - 1.0) > _ROW_SUM_TOL).any():
                 raise ValueError("label_transition rows must sum to 1")
+        elif self.label_transition is not None:
+            raise ValueError(f"label_transition is for markov-labels only, not {self.scenario}")
 
 
 def class_centres(n_classes: int, dim: int) -> np.ndarray:
@@ -141,9 +145,8 @@ def generate(config: ScenarioConfig, source: RandomSource) -> Stream:
     the normals in the row of a preallocated (n_steps, dim) array; the
     concept shift is one add to the rows after the changepoint. Those are
     the additions of building each object on its own, so the stream keeps
-    its bits, and no (n_steps, dim) temporary is made. The filled array is
-    then frozen, so the stream holds the only reference to rows no one can
-    write, and ``NnCache.extend`` keeps them without a copy.
+    its bits, and no (n_steps, dim) temporary is made. Both filled arrays
+    are frozen, so the stream keeps them without a copy (``Stream``).
     """
     k = config.n_classes
     centres = list(class_centres(k, config.dim))
@@ -170,8 +173,9 @@ def generate(config: ScenarioConfig, source: RandomSource) -> Stream:
     if config.scenario == "concept-shift":
         shift_direction = np.full(config.dim, 1.0 / np.sqrt(config.dim))
         x[config.changepoint :] += config.shift_magnitude * shift_direction
-    x.flags.writeable = False
-    return Stream(x, np.array(labels, dtype=np.int64))
+    y = np.array(labels, dtype=np.int64)
+    x.flags.writeable = y.flags.writeable = False
+    return Stream(x, y)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -68,8 +69,10 @@ def test_loader_returns_train_then_test_rows(usps_files):
     assert [o.y for o in observations] == [0, 1, 9, 5]
     assert all(o.x.size == 256 for o in observations)
     assert observations[0].x[0] == pytest.approx(0.1)
-    # the stream made its array of objects, so it froze it
-    assert not observations.x.base.flags.writeable
+    # the stream made its array of objects and the loader froze its labels,
+    # so the stream keeps both
+    for array in (observations.x, observations.y):
+        assert array.base.base is None and not array.base.flags.writeable
 
 
 def test_loader_rejects_empty_pair(tmp_path):
@@ -188,6 +191,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({"output": 5}, {}, "output"),
         ({"output": "traj\0.csv"}, {}, "output"),
         ({"output": "\ud800.csv"}, {}, "output"),
+        ({"output": ""}, {}, "output"),
         ({}, {"n_steps": 5.5}, "n_steps"),
         ({}, {"n_steps": True}, "n_steps"),
         ({}, {"dim": 2.5}, "dim"),
@@ -206,6 +210,11 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({"reluctance": float("inf")}, {}, "reluctance"),
         ({"seed": 10**400}, {}, "seed"),
         ({}, {"seed": -(10**400)}, "seed"),
+        ({}, {"changepoint": 99}, "changepoint"),
+        ({}, {"scenario": "markov-labels", "label_transition": [[0.5, 0.5]] * 2, "changepoint": 3}, "changepoint"),
+        ({}, {"label_transition": [[0.5, 0.5]] * 2}, "label_transition"),
+        ({}, {"scenario": "concept-shift", "changepoint": 20, "label_transition": [[0.5, 0.5]] * 2}, "label_transition"),
+        ({}, {"scenario": "label-shift", "changepoint": 20, "label_transition": [[0.5, 0.5]] * 2}, "label_transition"),
     ],
     ids=[
         "shared-string",
@@ -213,6 +222,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "output-int",
         "output-nul",
         "output-surrogate",
+        "output-empty",
         "n_steps-float",
         "n_steps-bool",
         "dim-float",
@@ -231,6 +241,11 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "reluctance-infinity",
         "seed-huge-int",
         "data-seed-huge-int",
+        "changepoint-on-iid",
+        "changepoint-on-markov",
+        "transition-on-iid",
+        "transition-on-concept-shift",
+        "transition-on-label-shift",
     ],
 )
 def test_run_command_rejects_mistyped_config_values(
@@ -837,6 +852,57 @@ def test_run_command_writes_through_a_symlink(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "link.csv", "target.csv"]
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+@pytest.mark.parametrize("entry", ["directory", "file", "symlink"])
+def test_run_command_leaves_an_entry_at_the_old_temporary_name_alone(tmp_path, entry):
+    # the temporary used to be <output>.tmp: a directory there ended in a
+    # traceback, a file there was consumed, and a link there was written through
+    config_path = write_config(tmp_path, scenario_config_dict())
+    out = tmp_path / "out.csv"
+    old = tmp_path / "out.csv.tmp"
+    victim = tmp_path / "victim"
+    victim.write_text("keep me\n")
+    if entry == "directory":
+        old.mkdir()
+    elif entry == "file":
+        old.write_text("mine\n")
+    else:
+        old.symlink_to(victim)
+    assert main(["run", "--config", config_path, "--output", str(out)]) == EXIT_OK
+    assert out.is_file() and not out.is_symlink()
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~_umask()
+    assert read_trajectory_csv(str(out)).n_steps == 40
+    assert victim.read_text() == "keep me\n"
+    if entry == "directory":
+        assert old.is_dir() and list(old.iterdir()) == []
+    elif entry == "file":
+        assert old.read_text() == "mine\n"
+    else:
+        assert old.is_symlink() and old.resolve() == victim
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv", "out.csv.tmp", "victim"]
+
+
+def test_run_command_writes_an_output_of_the_longest_name(tmp_path):
+    # the temporary's name does not grow with the output's
+    config_path = write_config(tmp_path, scenario_config_dict())
+    out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
+    assert main(["run", "--config", config_path, "--output", str(out)]) == EXIT_OK
+    assert read_trajectory_csv(str(out)).n_steps == 40
+    assert sorted(tmp_path.iterdir()) == [out, tmp_path / "config.json"]
+
+
+def test_run_command_refuses_an_empty_output_flag(tmp_path, capsys):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    assert main(["run", "--config", config_path, "--output", ""]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "output" in captured.err
+
+
 def test_run_command_writes_into_a_fifo(tmp_path):
     config_path = write_config(tmp_path, scenario_config_dict())
     fifo = tmp_path / "fifo"
@@ -871,8 +937,8 @@ def test_sweep_rejects_an_out_dir_that_is_a_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "value",
-    [0, True, None, ["a"], "zip\0data", "\ud800x"],
-    ids=["int", "bool", "null", "list", "nul", "surrogate"],
+    [0, True, None, ["a"], "zip\0data", "\ud800x", ""],
+    ids=["int", "bool", "null", "list", "nul", "surrogate", "empty"],
 )
 @pytest.mark.parametrize("field", ["train_path", "test_path"])
 def test_usps_paths_must_be_strings(tmp_path, capsys, usps_files, field, value):

@@ -7,8 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shiftmart import Observation, RandomSource, Stream, ks_distance, ks_uniform_bound
+from shiftmart import NnCache, Observation, RandomSource, Stream, ks_distance, ks_uniform_bound
 from shiftmart.core import integer_field, real_field
+
+from oracles import nn_distances_bruteforce
 
 # values that are not numbers, or not numbers a float can hold
 NOT_NUMBERS = [True, False, None, "1", [1], 10**400, -(10**400)]
@@ -79,8 +81,9 @@ def test_observation_validates_inputs():
 def test_stream_holds_checked_read_only_arrays():
     x = np.arange(6.0).reshape(3, 2)
     stream = Stream(x, np.array([2, 0, 2], dtype=np.uint8))
-    # the objects are not copied, and neither array can be written through
-    assert np.shares_memory(stream.x, x)
+    # the caller can still write x, so the stream holds a copy of it, and
+    # neither array can be written through
+    assert not np.shares_memory(stream.x, x)
     assert stream.x.dtype == np.float64 and stream.y.dtype == np.int64
     for array in (stream.x, stream.y):
         with pytest.raises(ValueError):
@@ -122,6 +125,59 @@ def test_stream_freezes_only_the_arrays_it_made():
         assert np.array_equal(stream.x, x) and np.array_equal(stream.y, y)
         for array in (stream.x, stream.y):
             assert array.base.base is None and not array.base.flags.writeable
+
+
+def frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+def test_stream_keeps_an_array_only_when_no_one_can_write_it():
+    x = np.arange(12.0).reshape(6, 2)
+    y = np.zeros(6, dtype=np.int64)
+    owner = frozen(x.copy())
+    # a read-only array, or a contiguous view of one, whose owner is read-only
+    for rows in (owner, owner[2:], frozen(owner[1:4].view())):
+        assert np.shares_memory(Stream(rows, y[: len(rows)]).x, rows)
+    labels = frozen(y.copy())
+    held = Stream(owner, labels)
+    assert np.shares_memory(held.y, labels)
+    # a slice of a stream shares its arrays
+    tail = held[1:]
+    assert np.shares_memory(tail.x, owner) and np.shares_memory(tail.y, labels)
+    writable_owner = x.copy()
+    copied = (
+        x,  # the caller's writable array
+        frozen(writable_owner.view()),  # a read-only view of writable memory
+        np.frombuffer(x.tobytes()).reshape(6, 2),  # memory an ndarray does not own
+        frozen(np.asfortranarray(owner)),  # read-only but not C-contiguous
+        owner[::2],  # a strided view
+    )
+    for rows in copied:
+        stream = Stream(rows, y[: len(rows)])
+        assert not np.shares_memory(stream.x, rows) and np.array_equal(stream.x, rows)
+        assert stream.x.flags.c_contiguous and not stream.x.base.flags.writeable
+    assert x.flags.writeable and writable_owner.flags.writeable
+
+
+def test_a_callers_later_writes_do_not_reach_the_stream():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 3))
+    y = rng.integers(0, 2, size=40)
+    rows, labels = x.copy(), y.copy()
+    holder = ArrayHolder(x.copy())
+    for stream in (Stream(x, y), Stream(holder, y)):
+        x[::3] = np.nan
+        holder.data[::3] = np.nan
+        y[:] = 7
+        assert np.array_equal(stream.x, rows) and np.array_equal(stream.y, labels)
+        cache = NnCache()
+        cache.extend(stream)
+        d_same, d_other = nn_distances_bruteforce(rows, labels)
+        assert np.array_equal(cache.d_same, d_same) and np.array_equal(cache.d_other, d_other)
+        x[:], y[:], holder.data[:] = rows, labels, rows
+    # the caller's arrays and the holder's data stay writable
+    assert x.flags.writeable and y.flags.writeable and holder.data.flags.writeable
 
 
 def test_stream_refuses_malformed_objects():

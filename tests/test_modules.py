@@ -184,6 +184,35 @@ def test_only_the_cache_converts_a_stream(tmp_path):
     assert [name for name, calls in found.items() if calls] == ["conformity.py"]
 
 
+def ownership_reads(path: Path) -> set[str]:
+    """The ownership facts of an array that the module at ``path`` reads:
+    ``base`` for ``x.base``, ``writeable`` for ``x.flags.writeable``.
+    Assigning ``x.flags.writeable`` is not a read."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr == "base":
+                found.add("base")
+            elif node.attr == "writeable" and getattr(node.value, "attr", None) == "flags":
+                found.add("writeable")
+    return found
+
+
+def test_only_core_decides_who_may_write_an_array(tmp_path):
+    # Stream keeps an array only when no one else can write it and copies it
+    # otherwise, so no other module inspects an array's memory
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "view.flags.writeable = other.flags.writeable = False\n"
+        "owner = x if x.base is None else x.base\n"
+        "free = x.flags.writeable\n"
+    )
+    assert ownership_reads(sample) == {"base", "writeable"}
+    found = {path.name: ownership_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, reads in found.items() if reads] == ["core.py"]
+
+
 def test_importing_the_library_defers_what_only_some_calls_need():
     # pytest itself imports argparse, so the import is checked in a fresh
     # interpreter: argparse is for the command line, numpy.polynomial for the

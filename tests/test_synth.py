@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def test_config_validation():
         ScenarioConfig("concept-shift", n_steps=10, changepoint=11)
     with pytest.raises(ValueError, match="label_transition"):
         ScenarioConfig("markov-labels", n_steps=10)
+    # a field that the scenario would ignore is refused
+    uniform = ((0.5, 0.5), (0.5, 0.5))
+    ignored = [
+        ("changepoint", dict(scenario="iid", changepoint=99)),
+        ("changepoint", dict(scenario="markov-labels", changepoint=3, label_transition=uniform)),
+        ("label_transition", dict(scenario="iid", label_transition=uniform)),
+        ("label_transition", dict(scenario="concept-shift", changepoint=3, label_transition=uniform)),
+        ("label_transition", dict(scenario="label-shift", changepoint=3, label_transition=uniform)),
+    ]
+    for field, fields in ignored:
+        with pytest.raises(ValueError, match=f"^{field} is for "):
+            ScenarioConfig(n_steps=5, **fields)
     with pytest.raises(ValueError, match="sum"):
         ScenarioConfig(
             "markov-labels",
@@ -196,9 +209,27 @@ def test_streams_are_checked_arrays():
     assert stream.x.shape == (5, 3) and stream.x.dtype == np.float64
     assert stream.y.shape == (5,) and stream.y.dtype == np.int64
     assert not stream.x.flags.writeable and not stream.y.flags.writeable
-    # the filled array of objects is frozen too, so a cache can keep it
-    assert stream.x.base.base is None and not stream.x.base.flags.writeable
+    # both filled arrays are frozen too, so the stream keeps them
+    for array in (stream.x, stream.y):
+        assert array.base.base is None and not array.base.flags.writeable
     assert all(isinstance(o, Observation) for o in stream)
+    # and a slice of the stream shares them
+    tail = stream[2:]
+    assert np.shares_memory(tail.x, stream.x) and np.shares_memory(tail.y, stream.y)
+
+
+def test_generate_makes_no_copy_of_the_stream():
+    config = ScenarioConfig("iid", n_steps=1000, n_classes=10, dim=256)
+    # a process's first source imports numpy.random, which is not the stream's memory
+    source = RandomSource(2, "scenario")
+    tracemalloc.start()
+    try:
+        stream = generate(config, source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the filled array and small per-step temporaries; a copy would double it
+    assert peak < 1.5 * stream.x.nbytes
 
 
 # --- uniformity reports ---------------------------------------------------------
