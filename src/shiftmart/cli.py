@@ -44,7 +44,7 @@ from .transducer import interleave
 USPS_DIM = 256
 USPS_FIELDS = USPS_DIM + 1
 _FEATURE_TOL = 1e-6
-# Largest |blue - (red + green)| a run may emit or a trajectory CSV may hold.
+# Largest |blue - (red + green)| a TrajectoryTable may hold.
 _DECOMPOSITION_TOL = 1e-9
 
 EXIT_OK = 0
@@ -165,7 +165,7 @@ class ExperimentConfig:
     data: UspsPaths | ScenarioConfig
     concept_measure: str = "ratio"
     label_measure: str | None = "ratio"
-    strategy: str = "sleepy-jumper"
+    strategy: str = "simple-jumper"
     jump_rate: float = 0.001
     reluctance: float = 0.01
     seed: int = 1
@@ -254,9 +254,14 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 class TrajectoryTable:
     """Per-step p-values and the four log10 trajectories of one run.
 
-    The p arrays have one entry per observation; the trajectories have one
-    extra leading entry for the initial capital. ``p_label``, ``log10_green``
-    and ``log10_blue`` are None when the run had no label-measure leg.
+    ``p_label``, ``log10_green`` and ``log10_blue`` make up the label leg:
+    all None when the run had no label-measure leg, else all arrays. The
+    constructor raises ValueError naming the first rule a table breaks:
+    ``p_concept``, ``log10_black`` and ``log10_red`` are present; the label
+    leg is all present or all absent; each p column has one entry per step,
+    each in [0, 1] (NaN refused); each trajectory has one entry more, for
+    the initial capital, is finite and starts at 0; and blue is within 1e-9
+    of red + green.
     """
 
     p_concept: np.ndarray
@@ -266,18 +271,40 @@ class TrajectoryTable:
     log10_green: np.ndarray | None
     log10_blue: np.ndarray | None
 
+    def __post_init__(self):
+        absent = tuple(name for name in _COLUMNS if getattr(self, name) is None)
+        for name in absent:
+            if name not in _LABEL_LEG:
+                raise ValueError(f"{name} is missing")
+        if absent and absent != _LABEL_LEG:
+            raise ValueError(f"{', '.join(_LABEL_LEG)} must be all filled or all empty")
+        n = np.size(self.p_concept)
+        for name in _COLUMNS:
+            values = getattr(self, name)
+            if values is None:
+                continue
+            is_p = name.startswith("p_")
+            shape = (n + (not is_p),)
+            if np.shape(values) != shape:
+                raise ValueError(f"{name} has shape {np.shape(values)}, expected {shape}")
+            if is_p and not ((values >= 0.0) & (values <= 1.0)).all():
+                raise ValueError(f"{name} holds a value outside [0, 1] or NaN")
+            if not is_p and not np.isfinite(values).all():
+                raise ValueError(f"{name} holds a value that is not finite")
+            if not is_p and values[0] != 0.0:
+                raise ValueError(f"{name} must start at 0, got {float(values[0])!r}")
+        if self.log10_blue is not None:
+            # a sum that overflows is infinitely far from blue, not a warning
+            with np.errstate(over="ignore"):
+                gap = np.abs(self.log10_blue - (self.log10_red + self.log10_green)).max()
+            if gap > _DECOMPOSITION_TOL:
+                raise ValueError(f"log10_blue is {gap:.3g} away from log10_red + log10_green")
+
     def __eq__(self, other):
         if not isinstance(other, TrajectoryTable):
             return NotImplemented
-
-        def same(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            return np.array_equal(a, b)
-
         return all(
-            same(getattr(self, f.name), getattr(other, f.name))
-            for f in dataclasses.fields(self)
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
 
     @property
@@ -326,16 +353,17 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
         green = bet(legs.p_label, legs.label_provenance)
         blue = product_martingale(red, green, allow_shared=config.shared_randomization)
         log10_green, log10_blue = green.log10_values, blue.log10_values
-        if np.abs(log10_blue - (red.log10_values + log10_green)).max() > _DECOMPOSITION_TOL:
-            raise InvariantViolation("product decomposition violated")
-    return TrajectoryTable(
-        legs.p_concept,
-        legs.p_label,
-        black.log10_values,
-        red.log10_values,
-        log10_green,
-        log10_blue,
-    )
+    try:
+        return TrajectoryTable(
+            legs.p_concept,
+            legs.p_label,
+            black.log10_values,
+            red.log10_values,
+            log10_green,
+            log10_blue,
+        )
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +371,8 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
 # ---------------------------------------------------------------------------
 
 # The CSV has the step count n, then one column per TrajectoryTable field in
-# field order. A p_* column leaves row n=0 empty and holds values in [0, 1];
-# every other column starts at row 0 and holds finite values. The fields that
-# may be None make up the label leg: filled together or left empty together.
+# field order. Row n=0 holds the initial capitals and leaves the p columns
+# empty; an absent label leg leaves its columns empty in every row.
 _COLUMNS = tuple(field.name for field in dataclasses.fields(TrajectoryTable))
 _LABEL_LEG = tuple(
     name
@@ -413,10 +440,10 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
     """Parse a trajectory CSV back into a table (inverse of write).
 
     Anything ``render_trajectory_csv`` could not have written raises
-    DataError naming the file: an ``n`` column other than 0, 1, ..., N,
-    p-value cells on row 0, a p-value outside [0, 1], a log10 value that is
-    not finite, a label leg with only some of its three columns, or a blue
-    column further than 1e-9 from red + green.
+    DataError naming the file: a wrong header, a row of the wrong width (a
+    blank line included), an ``n`` column other than 0, 1, ..., N, p-value
+    cells on row 0, a cell that is not a float, or a table that breaks the
+    ``TrajectoryTable`` contract.
     """
     try:
         with open(path, "r", encoding="ascii") as handle:
@@ -425,43 +452,25 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise DataError(f"{path}: missing or wrong header")
-    rows = [line.split(",") for line in lines[1:] if line]
+    rows = [line.split(",") for line in lines[1:]]
     if not rows or any(len(r) != len(_COLUMNS) + 1 for r in rows):
         raise DataError(f"{path}: malformed rows")
     for k, row in enumerate(rows):
         if row[0] != str(k):
             raise DataError(f"{path}: expected n = {k}, got {row[0]!r}")
     columns = {}
-    for name, cells in zip(_COLUMNS, list(zip(*rows))[1:]):
-        is_p = name.startswith("p_")
-        if is_p and cells[0]:
-            raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
-        cells = cells[is_p:]
-        if all(c == "" for c in cells):
-            columns[name] = None
-            continue
-        try:
-            values = np.array([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
-        if is_p and not ((values >= 0.0) & (values <= 1.0)).all():
-            raise DataError(f"{path}: {name} holds a value outside [0, 1] or NaN")
-        if not is_p and not np.isfinite(values).all():
-            raise DataError(f"{path}: {name} holds a value that is not finite")
-        columns[name] = values
-    empty = {name for name, values in columns.items() if values is None}
-    if empty - set(_LABEL_LEG):
-        raise DataError(f"{path}: required columns are empty")
-    if empty and empty != set(_LABEL_LEG):
-        raise DataError(f"{path}: {', '.join(_LABEL_LEG)} must be all filled or all empty")
-    table = TrajectoryTable(**columns)
-    if not empty:
-        gap = np.abs(table.log10_blue - (table.log10_red + table.log10_green)).max()
-        if gap > _DECOMPOSITION_TOL:
-            raise DataError(
-                f"{path}: log10_blue is {gap:.3g} away from log10_red + log10_green"
-            )
-    return table
+    # a cell that is not a float and a table that breaks the contract both
+    # raise ValueError
+    try:
+        for name, cells in zip(_COLUMNS, list(zip(*rows))[1:]):
+            is_p = name.startswith("p_")
+            if is_p and cells[0]:
+                raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
+            cells = cells[is_p:]
+            columns[name] = np.array([float(c) for c in cells]) if any(cells) else None
+        return TrajectoryTable(**columns)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +526,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     table = read_trajectory_csv(args.trajectory)
-    column = args.column
-    if column is None:
-        column = "p_concept" if table.p_label is None else "both"
-    reports = {}
-    if column in ("p_concept", "both"):
-        reports["p_concept"] = dataclasses.asdict(
-            uniformity_report(table.p_concept, bins=args.bins)
-        )
-    if column in ("p_label", "both"):
-        if table.p_label is None:
-            raise DataError(f"{args.trajectory}: trajectory has no p_label column")
+    reports = {"p_concept": dataclasses.asdict(uniformity_report(table.p_concept, bins=args.bins))}
+    if table.p_label is not None:
         pairs = np.column_stack([table.p_concept, table.p_label])
-        reports["p_label"] = dataclasses.asdict(
-            uniformity_report(table.p_label, bins=args.bins)
-        )
+        reports["p_label"] = dataclasses.asdict(uniformity_report(table.p_label, bins=args.bins))
         reports["pair"] = dataclasses.asdict(
             uniformity_report(table.p_label, pairs=pairs, bins=args.bins)
         )
@@ -606,11 +604,6 @@ def _build_parser():
 
     report = sub.add_parser("report", help="uniformity report for a trajectory CSV")
     report.add_argument("trajectory", help="trajectory CSV emitted by run")
-    report.add_argument(
-        "--column",
-        choices=("p_concept", "p_label", "both"),
-        help="p-value column to report (default: every one the file has)",
-    )
     report.add_argument("--bins", type=_count(_MAX_BINS), default=10)
     report.set_defaults(func=_cmd_report)
     return parser

@@ -129,6 +129,16 @@ def test_run_martingale_names_the_first_p_value_out_of_range(tag, bad):
         run_martingale(initial_state(tag), ps)
 
 
+@pytest.mark.parametrize(
+    "p_values, shape",
+    [([[0.5, 0.2]], r"\(1, 2\)"), (np.full((2, 3), 0.5), r"\(2, 3\)"), (np.array(0.5), r"\(\)")],
+)
+@pytest.mark.parametrize("tag", ["simple-jumper", "mixture-power"])
+def test_run_martingale_refuses_p_values_that_are_not_1d(tag, p_values, shape):
+    with pytest.raises(ValueError, match=rf"must be a 1-D array, got shape {shape}$"):
+        run_martingale(initial_state(tag), p_values)
+
+
 def test_mixture_run_martingale_peak_memory_per_p_value():
     # 128-row chunks keep the (rows, 64) terms at 64 KiB; one block over
     # all 20 000 rows would peak near 1.6 KiB per p-value

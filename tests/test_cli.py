@@ -1,6 +1,7 @@
 """Tests for USPS ingestion, experiment runs, CSV emission and the CLI."""
 
 import contextlib
+import copy
 import dataclasses
 import functools
 import io
@@ -23,6 +24,7 @@ from shiftmart import (
     ExperimentConfig,
     ScenarioConfig,
     Stream,
+    TrajectoryTable,
     UspsPaths,
     load_usps,
     read_trajectory_csv,
@@ -160,6 +162,13 @@ def test_config_from_dict_roundtrip():
     assert isinstance(config.data, ScenarioConfig)
     assert config.data.n_steps == 40
     assert config.strategy == "simple-jumper"
+
+
+def test_the_default_strategy_is_simple_jumper():
+    config = config_from_dict({"data": {"kind": "scenario", "scenario": "iid", "n_steps": 40}})
+    assert config.strategy == "simple-jumper"
+    # sleepy-jumper runs the same dynamics, so a default run keeps its bits
+    assert run_experiment(config) == run_experiment(dataclasses.replace(config, strategy="sleepy-jumper"))
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
@@ -584,16 +593,12 @@ def test_report_defaults_to_the_columns_a_run_without_label_leg_has(tmp_path, ca
     assert report["p_concept"]["sample_count"] == 40
 
 
-@pytest.mark.parametrize("column", ["p_label", "both"])
-def test_report_of_an_absent_label_column_names_the_file(tmp_path, capsys, column):
-    out = tmp_path / "traj.csv"
-    raw = scenario_config_dict(output=str(out), label_measure=None)
-    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_OK
-    assert main(["report", "--column", column, str(out)]) == EXIT_DATA
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(out) in captured.err
-    assert "p_label" in captured.err
+def test_report_has_no_column_option(tmp_path, capsys):
+    path, _ = written_csv_lines(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--column", "both", str(path)])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--column" in capsys.readouterr().err
 
 
 def test_sweep_command_writes_per_seed_files(tmp_path):
@@ -716,7 +721,7 @@ def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
 def test_report_accepts_the_largest_bin_count(tmp_path, capsys):
     path = tmp_path / "table.csv"
     write_trajectory_csv(run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=4))), str(path))
-    assert main(["report", "--bins", "1000", "--column", "both", str(path)]) == EXIT_OK
+    assert main(["report", "--bins", "1000", str(path)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["p_concept"]["sample_count"] == 4
     assert "pair" in report
@@ -779,6 +784,147 @@ def test_reader_rejects_blue_away_from_red_plus_green(tmp_path, capsys):
     path, lines = written_csv_lines(tmp_path)
     blue = float(lines[4].split(",")[6])
     assert_rejected(path, set_cell(lines, 3, 6, repr(blue + 8.8)), capsys, "log10_blue")
+
+
+# --- the TrajectoryTable contract ---------------------------------------------------
+
+
+def table_columns(n_steps=5, **overrides):
+    """The columns of a table from a run, as a dict of fresh arrays."""
+    table = run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=n_steps), **overrides))
+    return {name: copy.copy(getattr(table, name)) for name in cli._COLUMNS}
+
+
+# (column, index, value, message): one cell that breaks one rule
+BROKEN_CELLS = [
+    ("p_concept", 2, math.nan, "p_concept holds a value outside"),
+    ("p_label", 3, 1.5, "p_label holds a value outside"),
+    ("p_label", 0, -0.25, "p_label holds a value outside"),
+    ("log10_red", 4, math.inf, "log10_red holds a value that is not finite"),
+    ("log10_blue", 3, 7.5, "log10_blue is .* away from log10_red"),
+    ("log10_black", 0, 5.0, "log10_black must start at 0, got 5.0"),
+    ("log10_red", 0, 5.0, "log10_red must start at 0, got 5.0"),
+    ("log10_green", 0, -1.0, "log10_green must start at 0, got -1.0"),
+    ("log10_blue", 0, 5.0, "log10_blue must start at 0, got 5.0"),
+]
+
+
+@pytest.mark.parametrize("name, index, value, match", BROKEN_CELLS)
+def test_a_table_that_breaks_a_rule_in_one_cell_is_refused(tmp_path, capsys, name, index, value, match):
+    columns = table_columns()
+    TrajectoryTable(**columns)
+    columns[name][index] = value
+    with pytest.raises(ValueError, match=match):
+        TrajectoryTable(**columns)
+    # the same cell in a CSV that run wrote: a p column's step k is row k + 1
+    path, lines = written_csv_lines(tmp_path, n_steps=5)
+    row = index + name.startswith("p_")
+    column = cli._COLUMNS.index(name) + 1
+    assert_rejected(path, set_cell(lines, row, column, repr(value)), capsys, match)
+
+
+def _drop(name):
+    return lambda columns: columns.update({name: None})
+
+
+def _resize(name, size):
+    return lambda columns: columns.update({name: np.resize(columns[name], size)})
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (_drop("p_concept"), "p_concept is missing"),
+        (_drop("log10_black"), "log10_black is missing"),
+        (_drop("log10_red"), "log10_red is missing"),
+        (_drop("p_label"), "p_label, log10_green, log10_blue must be all filled or all empty"),
+        (_drop("log10_green"), "all filled or all empty"),
+        (_resize("p_label", 4), r"p_label has shape \(4,\), expected \(5,\)"),
+        (_resize("log10_red", 5), r"log10_red has shape \(5,\), expected \(6,\)"),
+        (_resize("log10_blue", (2, 3)), r"log10_blue has shape \(2, 3\), expected \(6,\)"),
+        (_resize("p_concept", (5, 1)), r"p_concept has shape \(5, 1\), expected \(5,\)"),
+    ],
+    ids=["p_concept", "black", "red", "p_label", "green", "p-length", "red-length", "2d", "p-2d"],
+)
+def test_a_table_without_its_columns_or_their_lengths_is_refused(change, match):
+    columns = table_columns()
+    change(columns)
+    with pytest.raises(ValueError, match=match):
+        TrajectoryTable(**columns)
+
+
+def test_a_missing_label_leg_equals_only_a_missing_label_leg():
+    columns = table_columns(label_measure=None)
+    assert TrajectoryTable(**columns) == TrajectoryTable(**columns)
+    assert TrajectoryTable(**columns) != TrajectoryTable(**table_columns())
+
+
+def test_reader_rejects_a_blank_line_between_rows(tmp_path, capsys):
+    path, lines = written_csv_lines(tmp_path)
+    assert_rejected(path, lines[:4] + [""] + lines[4:], capsys, "malformed rows")
+
+
+def test_reader_refuses_an_overflowing_gap_without_a_warning(tmp_path, capsys):
+    path, lines = written_csv_lines(tmp_path)
+    for column in (4, 5, 6):
+        lines = set_cell(lines, 3, column, "1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rejected(path, lines, capsys, "log10_blue is inf away")
+
+
+def test_report_on_an_empty_p_concept_column_exits_3(tmp_path, capsys):
+    path, lines = written_csv_lines(tmp_path)
+    for row in range(1, len(lines) - 1):
+        lines = set_cell(lines, row, 1, "")
+    # the presence rule comes first: no other rule may read a missing column
+    assert_rejected(path, lines, capsys, "p_concept is missing")
+
+
+def test_a_broken_decomposition_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    real_product = cli.product_martingale
+
+    def shifted_product(*args, **kwargs):
+        blue = real_product(*args, **kwargs)
+        values = blue.log10_values.copy()
+        values[1:] += 1.0
+        return dataclasses.replace(blue, log10_values=values)
+
+    monkeypatch.setattr(cli, "product_martingale", shifted_product)
+    with pytest.raises(InvariantViolation, match="log10_blue is 1 away"):
+        run_experiment(iid_config())
+    config_path = write_config(tmp_path, scenario_config_dict())
+    assert main(["run", "--config", config_path]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: log10_blue")
+
+
+# p-values at and near the ends of [0, 1], subnormals included
+_P_VALUES = st.sampled_from([0.0, 1.0, 5e-324, 2.5e-310, 1 - 2**-53]) | st.floats(0.0, 1.0)
+_CAPITALS = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def valid_tables(draw):
+    n = draw(st.integers(1, 40))
+
+    def column(values, start=()):
+        return np.array([*start, *draw(st.lists(values, min_size=n, max_size=n))])
+
+    black, red = column(_CAPITALS, [0.0]), column(_CAPITALS, [0.0])
+    if not draw(st.booleans()):
+        return TrajectoryTable(column(_P_VALUES), None, black, red, None, None)
+    green = column(_CAPITALS, [0.0])
+    return TrajectoryTable(column(_P_VALUES), column(_P_VALUES), black, red, green, red + green)
+
+
+@given(valid_tables())
+@settings(max_examples=100, deadline=None)
+def test_every_valid_table_round_trips_through_the_csv(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    write_trajectory_csv(table, str(path))
+    assert read_trajectory_csv(str(path)) == table
 
 
 

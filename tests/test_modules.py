@@ -213,6 +213,48 @@ def test_only_core_decides_who_may_write_an_array(tmp_path):
     assert [name for name, reads in found.items() if reads] == ["core.py"]
 
 
+def name_readers(path: Path, name: str) -> set[str]:
+    """The scopes of the module at ``path`` that read the name ``name``: a
+    function or class by its qualified name, such as ``Table.check``, and the
+    module's top level as ``<module>``."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    found = set()
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_only_the_trajectory_table_checks_the_decomposition(tmp_path):
+    # TrajectoryTable holds the contract of a run's table, so neither a run
+    # nor the CSV reader keeps a copy of its blue = red + green rule
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "TOL = 1e-9\n"
+        "class Table:\n"
+        "    def check(self):\n"
+        "        def inner():\n"
+        "            return TOL\n"
+        "        return TOL\n"
+        "def other(x):\n"
+        "    TOL = 2\n"
+        "    return abs(x) > TOL\n"
+        "limit = TOL\n"
+    )
+    assert name_readers(sample, "TOL") == {"Table.check.inner", "Table.check", "other", "<module>"}
+    found = {path.name: name_readers(path, "_DECOMPOSITION_TOL") for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "cli.py": {"TrajectoryTable.__post_init__"}
+    }
+
+
 def test_importing_the_library_defers_what_only_some_calls_need():
     # pytest itself imports argparse, so the import is checked in a fresh
     # interpreter: argparse is for the command line, numpy.polynomial for the
