@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,12 +255,17 @@ class TrajectoryTable:
 
     ``p_label``, ``log10_green`` and ``log10_blue`` make up the label leg:
     all None when the run had no label-measure leg, else all arrays. The
-    constructor raises ValueError naming the first rule a table breaks:
-    ``p_concept``, ``log10_black`` and ``log10_red`` are present; the label
-    leg is all present or all absent; each p column has one entry per step,
-    each in [0, 1] (NaN refused); each trajectory has one entry more, for
-    the initial capital, is finite and starts at 0; and blue is within 1e-9
-    of red + green.
+    table's contract, which ``checked`` enforces: ``p_concept``,
+    ``log10_black`` and ``log10_red`` are present; the label leg is all
+    present or all absent; each column is an ndarray; a p column has one
+    entry per step, at least one, each in [0, 1] (NaN refused); a
+    trajectory has one entry more, for the initial capital, is finite and
+    starts at 0; and blue is within 1e-9 of red + green.
+
+    The constructor does not check, so that a test of another checker can
+    build a broken table. Every table the library makes, reads or writes
+    passes through ``checked``: ``run_experiment``, ``read_trajectory_csv``
+    and ``render_trajectory_csv``.
     """
 
     p_concept: np.ndarray
@@ -271,7 +275,8 @@ class TrajectoryTable:
     log10_green: np.ndarray | None
     log10_blue: np.ndarray | None
 
-    def __post_init__(self):
+    def checked(self) -> TrajectoryTable:
+        """This table, or ValueError naming the first rule of the contract it breaks."""
         absent = tuple(name for name in _COLUMNS if getattr(self, name) is None)
         for name in absent:
             if name not in _LABEL_LEG:
@@ -279,14 +284,15 @@ class TrajectoryTable:
         if absent and absent != _LABEL_LEG:
             raise ValueError(f"{', '.join(_LABEL_LEG)} must be all filled or all empty")
         n = np.size(self.p_concept)
-        for name in _COLUMNS:
+        if n == 0:
+            raise ValueError("p_concept is empty: a table has at least one step")
+        for name in [name for name in _COLUMNS if name not in absent]:
             values = getattr(self, name)
-            if values is None:
-                continue
             is_p = name.startswith("p_")
             shape = (n + (not is_p),)
-            if np.shape(values) != shape:
-                raise ValueError(f"{name} has shape {np.shape(values)}, expected {shape}")
+            if not isinstance(values, np.ndarray) or values.shape != shape:
+                got = f"{type(values).__name__} {np.shape(values)}"
+                raise ValueError(f"{name} is {got}, expected ndarray {shape}")
             if is_p and not ((values >= 0.0) & (values <= 1.0)).all():
                 raise ValueError(f"{name} holds a value outside [0, 1] or NaN")
             if not is_p and not np.isfinite(values).all():
@@ -299,6 +305,7 @@ class TrajectoryTable:
                 gap = np.abs(self.log10_blue - (self.log10_red + self.log10_green)).max()
             if gap > _DECOMPOSITION_TOL:
                 raise ValueError(f"log10_blue is {gap:.3g} away from log10_red + log10_green")
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, TrajectoryTable):
@@ -361,7 +368,7 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
             red.log10_values,
             log10_green,
             log10_blue,
-        )
+        ).checked()
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc
 
@@ -374,20 +381,18 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
 # field order. Row n=0 holds the initial capitals and leaves the p columns
 # empty; an absent label leg leaves its columns empty in every row.
 _COLUMNS = tuple(field.name for field in dataclasses.fields(TrajectoryTable))
-_LABEL_LEG = tuple(
-    name
-    for name, hint in typing.get_type_hints(TrajectoryTable).items()
-    if type(None) in typing.get_args(hint)
-)
+_LABEL_LEG = ("p_label", "log10_green", "log10_blue")
 CSV_HEADER = ",".join(("n",) + _COLUMNS)
 
 
 def render_trajectory_csv(table: TrajectoryTable) -> str:
     """Format the table as CSV text; floats use shortest round-trip formatting.
 
-    Row n=0 carries the initial capitals and empty p fields.
+    Row n=0 carries the initial capitals and empty p fields. A table that
+    breaks the ``TrajectoryTable`` contract raises ValueError, so no file is
+    written that ``read_trajectory_csv`` would refuse.
     """
-    rows = table.n_steps + 1
+    rows = table.checked().n_steps + 1
     columns = [map(str, range(rows))]
     for name in _COLUMNS:
         values = getattr(table, name)
@@ -468,7 +473,7 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
                 raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
             cells = cells[is_p:]
             columns[name] = np.array([float(c) for c in cells]) if any(cells) else None
-        return TrajectoryTable(**columns)
+        return TrajectoryTable(**columns).checked()
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -526,14 +531,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     table = read_trajectory_csv(args.trajectory)
-    reports = {"p_concept": dataclasses.asdict(uniformity_report(table.p_concept, bins=args.bins))}
+    reports = {"p_concept": uniformity_report(table.p_concept, bins=args.bins)}
     if table.p_label is not None:
         pairs = np.column_stack([table.p_concept, table.p_label])
-        reports["p_label"] = dataclasses.asdict(uniformity_report(table.p_label, bins=args.bins))
-        reports["pair"] = dataclasses.asdict(
-            uniformity_report(table.p_label, pairs=pairs, bins=args.bins)
-        )
-    json.dump(reports, sys.stdout, indent=2)
+        reports["p_label"] = uniformity_report(table.p_label, bins=args.bins)
+        reports["pair"] = uniformity_report(table.p_label, pairs=pairs, bins=args.bins)
+    json.dump({k: dataclasses.asdict(r) for k, r in reports.items()}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ mixture workloads. The benchmark files are imported, never modified.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,17 @@ def test_traced_replay_equals_run_experiment(perfbench, workload, tmp_path):
         config = bench.experiment_config(spec, seed)
         replayed = bench.replay(config, bench.Tracer(), str(tmp_path / "replay.csv"))
         assert replayed == run_experiment(config)
+
+
+def test_the_harness_self_test_can_build_broken_tables(monkeypatch, tmp_path):
+    # perfbench/selftest.py checks the benchmark's own output check on tables
+    # made broken with dataclasses.replace, so building a TrajectoryTable
+    # must not refuse them: only TrajectoryTable.checked does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        selftest = _load("selftest")
+        selftest.test_bad_outputs_fail_the_check(str(tmp_path))
+    finally:
+        # the self-test imports its sibling files by these top-level names
+        for name in ("bench", "compare", "run"):
+            sys.modules.pop(name, None)

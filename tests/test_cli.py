@@ -812,10 +812,15 @@ BROKEN_CELLS = [
 @pytest.mark.parametrize("name, index, value, match", BROKEN_CELLS)
 def test_a_table_that_breaks_a_rule_in_one_cell_is_refused(tmp_path, capsys, name, index, value, match):
     columns = table_columns()
-    TrajectoryTable(**columns)
+    TrajectoryTable(**columns).checked()
     columns[name][index] = value
+    broken = TrajectoryTable(**columns)
     with pytest.raises(ValueError, match=match):
-        TrajectoryTable(**columns)
+        broken.checked()
+    # the writer refuses it too, so no file is written that the reader refuses
+    with pytest.raises(ValueError, match=match):
+        write_trajectory_csv(broken, str(tmp_path / "broken.csv"))
+    assert not (tmp_path / "broken.csv").exists()
     # the same cell in a CSV that run wrote: a p column's step k is row k + 1
     path, lines = written_csv_lines(tmp_path, n_steps=5)
     row = index + name.startswith("p_")
@@ -831,6 +836,16 @@ def _resize(name, size):
     return lambda columns: columns.update({name: np.resize(columns[name], size)})
 
 
+def _as_list(name):
+    return lambda columns: columns.update({name: columns[name].tolist()})
+
+
+def _no_steps(columns):
+    # the reader takes an empty p column as absent, so such a table could
+    # not round-trip through a CSV: the contract refuses it
+    columns.update({name: np.empty(0) if name.startswith("p_") else np.zeros(1) for name in columns})
+
+
 @pytest.mark.parametrize(
     "change, match",
     [
@@ -839,23 +854,31 @@ def _resize(name, size):
         (_drop("log10_red"), "log10_red is missing"),
         (_drop("p_label"), "p_label, log10_green, log10_blue must be all filled or all empty"),
         (_drop("log10_green"), "all filled or all empty"),
-        (_resize("p_label", 4), r"p_label has shape \(4,\), expected \(5,\)"),
-        (_resize("log10_red", 5), r"log10_red has shape \(5,\), expected \(6,\)"),
-        (_resize("log10_blue", (2, 3)), r"log10_blue has shape \(2, 3\), expected \(6,\)"),
-        (_resize("p_concept", (5, 1)), r"p_concept has shape \(5, 1\), expected \(5,\)"),
+        (_resize("p_label", 4), r"p_label is ndarray \(4,\), expected ndarray \(5,\)"),
+        (_resize("log10_red", 5), r"log10_red is ndarray \(5,\), expected ndarray \(6,\)"),
+        (_resize("log10_blue", (2, 3)), r"log10_blue is ndarray \(2, 3\), expected ndarray \(6,\)"),
+        (_resize("p_concept", (5, 1)), r"p_concept is ndarray \(5, 1\), expected ndarray \(5,\)"),
+        (_as_list("p_label"), r"p_label is list \(5,\), expected ndarray \(5,\)"),
+        (_no_steps, "p_concept is empty: a table has at least one step"),
     ],
-    ids=["p_concept", "black", "red", "p_label", "green", "p-length", "red-length", "2d", "p-2d"],
+    ids=[
+        "p_concept", "black", "red", "p_label", "green", "p-length", "red-length", "2d", "p-2d",
+        "list", "no-steps",
+    ],
 )
-def test_a_table_without_its_columns_or_their_lengths_is_refused(change, match):
+def test_a_table_without_its_columns_or_their_lengths_is_refused(tmp_path, change, match):
     columns = table_columns()
     change(columns)
+    table = TrajectoryTable(**columns)
     with pytest.raises(ValueError, match=match):
-        TrajectoryTable(**columns)
+        table.checked()
+    with pytest.raises(ValueError, match=match):
+        write_trajectory_csv(table, str(tmp_path / "broken.csv"))
 
 
 def test_a_missing_label_leg_equals_only_a_missing_label_leg():
     columns = table_columns(label_measure=None)
-    assert TrajectoryTable(**columns) == TrajectoryTable(**columns)
+    assert TrajectoryTable(**columns).checked() == TrajectoryTable(**columns)
     assert TrajectoryTable(**columns) != TrajectoryTable(**table_columns())
 
 

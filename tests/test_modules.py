@@ -251,7 +251,7 @@ def test_only_the_trajectory_table_checks_the_decomposition(tmp_path):
     assert name_readers(sample, "TOL") == {"Table.check.inner", "Table.check", "other", "<module>"}
     found = {path.name: name_readers(path, "_DECOMPOSITION_TOL") for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: scopes for name, scopes in found.items() if scopes} == {
-        "cli.py": {"TrajectoryTable.__post_init__"}
+        "cli.py": {"TrajectoryTable.checked"}
     }
 
 
