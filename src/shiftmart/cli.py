@@ -262,8 +262,8 @@ class TrajectoryTable:
     trajectory has one entry more, for the initial capital, is finite and
     starts at 0; and blue is within 1e-9 of red + green.
 
-    The constructor does not check, so that a test of another checker can
-    build a broken table. Every table the library makes, reads or writes
+    The constructor does not check, so that the benchmark's self-test can
+    build broken tables to test its own output check. Every table the library makes, reads or writes
     passes through ``checked``: ``run_experiment``, ``read_trajectory_csv``
     and ``render_trajectory_csv``.
     """
