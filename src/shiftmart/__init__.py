@@ -38,12 +38,10 @@ from .core import Label, Observation, RandomSource, Stream
 from .synth import (
     SCENARIOS,
     ScenarioConfig,
-    UniformityReport,
     generate,
     ks_distance,
     ks_uniform_bound,
     pair_chisq,
-    uniformity_report,
 )
 from .transducer import (
     InterleavedPValues,
@@ -69,7 +67,6 @@ __all__ = [
     "ScenarioConfig",
     "Stream",
     "TrajectoryTable",
-    "UniformityReport",
     "UspsPaths",
     "bet_step",
     "check_betting_validity",
@@ -91,6 +88,5 @@ __all__ = [
     "run_experiment",
     "run_martingale",
     "score_nn",
-    "uniformity_report",
     "write_trajectory_csv",
 ]

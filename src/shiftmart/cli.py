@@ -37,7 +37,7 @@ import numpy as np
 from .betting import STRATEGY_TAGS, initial_state, product_martingale, run_martingale
 from .conformity import NN_VARIANTS
 from .core import RandomSource, Stream, integer_field
-from .synth import ScenarioConfig, generate, uniformity_report
+from .synth import ScenarioConfig, generate, ks_distance, pair_chisq
 from .transducer import interleave
 
 USPS_DIM = 256
@@ -446,18 +446,22 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
 
     Anything ``render_trajectory_csv`` could not have written raises
     DataError naming the file: a wrong header, a row of the wrong width (a
-    blank line included), an ``n`` column other than 0, 1, ..., N, p-value
-    cells on row 0, a cell that is not a float, or a table that breaks the
-    ``TrajectoryTable`` contract.
+    blank line included), a last line without its newline, an ``n`` column
+    other than 0, 1, ..., N, p-value cells on row 0, a cell that is not a
+    float in its shortest round-trip form (``repr``), or a table that breaks
+    the ``TrajectoryTable`` contract.
     """
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            lines = [line.rstrip("\n") for line in handle]
+        # "\n" alone ends a line, and is kept, so a "\r" stays in its cell
+        with open(path, "r", encoding="ascii", newline="\n") as handle:
+            lines = list(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
+    if lines and not lines[-1].endswith("\n"):
+        raise DataError(f"{path}: the last line does not end in a newline")
+    if not lines or lines[0] != CSV_HEADER + "\n":
         raise DataError(f"{path}: missing or wrong header")
-    rows = [line.split(",") for line in lines[1:]]
+    rows = [line[:-1].split(",") for line in lines[1:]]
     if not rows or any(len(r) != len(_COLUMNS) + 1 for r in rows):
         raise DataError(f"{path}: malformed rows")
     for k, row in enumerate(rows):
@@ -472,7 +476,10 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
             if is_p and cells[0]:
                 raise DataError(f"{path}: row n=0 must leave the p-value cells empty")
             cells = cells[is_p:]
-            columns[name] = np.array([float(c) for c in cells]) if any(cells) else None
+            values = [float(c) for c in cells] if any(cells) else []
+            if any(repr(v) != c for v, c in zip(values, cells)):
+                raise DataError(f"{path}: {name} holds a number not in shortest round-trip form")
+            columns[name] = np.array(values) if values else None
         return TrajectoryTable(**columns).checked()
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -531,19 +538,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     table = read_trajectory_csv(args.trajectory)
-    reports = {"p_concept": uniformity_report(table.p_concept, bins=args.bins)}
+    report = {}
+    for name, p in (("p_concept", table.p_concept), ("p_label", table.p_label)):
+        if p is not None:
+            report[name] = {"ks_distance": ks_distance(p), "sample_count": p.size}
     if table.p_label is not None:
-        pairs = np.column_stack([table.p_concept, table.p_label])
-        reports["p_label"] = uniformity_report(table.p_label, bins=args.bins)
-        reports["pair"] = uniformity_report(table.p_label, pairs=pairs, bins=args.bins)
-    json.dump({k: dataclasses.asdict(r) for k, r in reports.items()}, sys.stdout, indent=2)
+        stat, df = pair_chisq(np.column_stack([table.p_concept, table.p_label]))
+        report["pair"] = {"chisq_stat": stat, "chisq_df": df}
+    json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
-# ``report`` histograms pairs of p-values on a bins x bins grid, so the cap
-# keeps that grid at 10**6 cells (8 MB); 200000 bins would ask for 298 GiB.
-_MAX_BINS = 1000
 # one process per ``sweep`` worker: a mistyped ``--workers`` cannot start thousands
 _MAX_WORKERS = 64
 # one CSV file per ``sweep`` seed, and one task built per seed before any runs
@@ -605,9 +611,8 @@ def _build_parser():
     sweep.add_argument("--workers", type=_count(_MAX_WORKERS), default=workers)
     sweep.set_defaults(func=_cmd_sweep)
 
-    report = sub.add_parser("report", help="uniformity report for a trajectory CSV")
+    report = sub.add_parser("report", help="uniformity statistics of the p-values in a trajectory CSV")
     report.add_argument("trajectory", help="trajectory CSV emitted by run")
-    report.add_argument("--bins", type=_count(_MAX_BINS), default=10)
     report.set_defaults(func=_cmd_report)
     return parser
 

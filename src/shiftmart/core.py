@@ -122,23 +122,29 @@ class Stream:
     array of shape (n, d), and the labels ``y``, a read-only int64 array of
     shape (n,).
 
-    No one can write either array. A stream keeps an array only when its
-    own conversion made it (from a list or a tuple, or from an array of
-    another dtype), and freezes it, or when it is read-only and C-contiguous
-    and its memory is owned by a read-only ndarray, itself or the ndarray
-    its ``.base`` names. Anything else, such as a caller's writable array, a
-    read-only view of writable memory, a buffer or what an ``__array__``
-    method hands out, is copied once, and the copy frozen. So a caller's
-    later writes to its own arrays cannot reach the stream, and
-    ``NnCache.extend`` keeps the rows without a copy. The arrays are checked
-    once, in one vectorised pass: ``x``, once held, is 2-D and finite, and
-    every label is an integer in [0, 2**63), refusing bools and floats as
-    ``integer_field`` does; an integer array's labels are checked as they
-    are converted, since a uint64 label must be checked before it becomes
-    an int64. A stream works like a list of observations:
-    ``len``, iteration (one ``Observation`` a step), indexing and slicing
-    (a slice is a ``Stream`` that shares the arrays). ``Stream.of`` builds
-    one from observations.
+    A stream keeps an array only when its own conversion made it (from a
+    list or a tuple, or from an array of another dtype), and freezes it, or
+    when it is read-only and C-contiguous and its memory is owned by a
+    read-only ndarray, itself or the ndarray its ``.base`` names. Anything
+    else, such as a caller's writable array, a read-only view of writable
+    memory, a buffer or what an ``__array__`` method hands out, is copied
+    once, and the copy frozen. So a caller's later writes to a writable
+    array cannot reach the stream, and ``NnCache.extend`` keeps the rows
+    without a copy. A read-only array handed to a stream is handed over:
+    the stream shares its memory, and numpy lets the owner of that memory
+    switch writes back on (``flags.writeable = True``). Doing so breaks
+    this rule, and a NaN or a negative label written then reaches the
+    stream unchecked. A stream that copies nothing cannot prevent it, and
+    ``generate`` relies on that hand-over to keep its rows once.
+
+    The arrays are checked once, in one vectorised pass: ``x``, once held,
+    is 2-D and finite, and every label is an integer in [0, 2**63),
+    refusing bools and floats as ``integer_field`` does; an integer array's
+    labels are checked as they are converted, since a uint64 label must be
+    checked before it becomes an int64. A stream works like a list of
+    observations: ``len``, iteration (one ``Observation`` a step), indexing
+    and slicing (a slice is a ``Stream`` that shares the arrays).
+    ``Stream.of`` builds one from observations.
     """
 
     x: np.ndarray

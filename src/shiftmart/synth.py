@@ -1,4 +1,4 @@
-"""Synthetic streams for the shift taxonomy, plus uniformity report helpers.
+"""Synthetic shift-taxonomy streams, plus KS and chi-square uniformity statistics.
 
 Objects are Gaussian with unit covariance around per-class means placed on a
 simplex with inter-class distance 4 (scaled standard basis vectors, so the
@@ -24,12 +24,16 @@ markov-labels
     conditional given the label, so it stays exchangeable within each label
     class. This is the regime where only the label-conditional leg keeps its
     validity guarantee.
+
+``changepoint`` and ``shift_magnitude`` (2.0 unless given) belong to the two
+shift scenarios and ``label_transition`` to ``markov-labels``; any other
+scenario refuses them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -62,7 +66,7 @@ class ScenarioConfig:
     n_classes: int = 2
     dim: int = 2
     changepoint: int | None = None
-    shift_magnitude: float = 2.0
+    shift_magnitude: float | None = None
     label_transition: tuple[tuple[float, ...], ...] | None = None
     seed: int | None = None
 
@@ -77,8 +81,6 @@ class ScenarioConfig:
         for name in ("changepoint", "seed"):
             if getattr(self, name) is not None:
                 store(name, integer_field(name, getattr(self, name)))
-        magnitude = real_field("shift_magnitude", self.shift_magnitude, 0.0, _MAX_SHIFT)
-        store("shift_magnitude", magnitude)
         rows = self.label_transition
         if rows is not None:
             if not isinstance(rows, _ROWS) or not all(isinstance(row, _ROWS) for row in rows):
@@ -101,8 +103,12 @@ class ScenarioConfig:
                 raise ValueError(f"{self.scenario} requires a changepoint")
             if not 0 < self.changepoint <= self.n_steps:
                 raise ValueError("changepoint must satisfy 0 < changepoint <= n_steps")
+            magnitude = 2.0 if self.shift_magnitude is None else self.shift_magnitude
+            store("shift_magnitude", real_field("shift_magnitude", magnitude, 0.0, _MAX_SHIFT))
         elif self.changepoint is not None:
             raise ValueError(f"changepoint is for concept-shift and label-shift only, not {self.scenario}")
+        elif self.shift_magnitude is not None:
+            raise ValueError(f"shift_magnitude is for concept-shift and label-shift only, not {self.scenario}")
         if self.scenario == "markov-labels":
             k = self.n_classes
             matrix = self.label_transition
@@ -178,19 +184,6 @@ def generate(config: ScenarioConfig, source: RandomSource) -> Stream:
     return Stream(x, y)
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    """Kolmogorov-Smirnov distance against uniform, with an optional paired
-    chi-square statistic for two-dimensional independence checks."""
-
-    ks_distance: float
-    sample_count: int
-    chisq_stat: float | None = None
-    chisq_bins: int | None = None
-    chisq_df: int | None = None
-    pair_count: int | None = None
-
-
 def ks_distance(samples) -> float:
     """Exact KS distance of the empirical CDF from uniform on [0, 1]."""
     u = np.sort(np.asarray(samples, dtype=np.float64))
@@ -222,14 +215,3 @@ def pair_chisq(pairs, bins: int = 10) -> tuple[float, int]:
     expected = pairs.shape[0] / (bins * bins)
     stat = float(((counts - expected) ** 2 / expected).sum())
     return stat, bins * bins - 1
-
-
-def uniformity_report(samples, pairs=None, bins: int = 10) -> UniformityReport:
-    """KS uniformity of pooled samples, optionally with a paired chi-square."""
-    samples = np.asarray(samples, dtype=np.float64)
-    report = UniformityReport(ks_distance(samples), samples.size)
-    if pairs is None:
-        return report
-    pairs = np.asarray(pairs, dtype=np.float64)
-    stat, df = pair_chisq(pairs, bins)
-    return replace(report, chisq_stat=stat, chisq_bins=bins, chisq_df=df, pair_count=pairs.shape[0])

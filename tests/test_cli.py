@@ -44,7 +44,7 @@ from shiftmart.cli import (
     load_config,
     main,
 )
-from shiftmart.synth import _MAX_FLOATS, _MAX_SHIFT
+from shiftmart.synth import _MAX_FLOATS, _MAX_SHIFT, pair_chisq
 
 
 def usps_row(label, fill=0.25, n_features=256):
@@ -576,9 +576,16 @@ def test_report_command_emits_json(tmp_path, capsys):
     assert main(["run", "--config", config_path]) == EXIT_OK
     assert main(["report", str(out)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"p_concept", "p_label", "pair"}
-    assert report["p_concept"]["sample_count"] == 40
-    assert report["pair"]["chisq_stat"] is not None
+    assert report.keys() == {"p_concept", "p_label", "pair"}
+    table = read_trajectory_csv(str(out))
+    for leg in ("p_concept", "p_label"):
+        assert report[leg].keys() == {"ks_distance", "sample_count"}
+        assert report[leg]["sample_count"] == 40
+    assert report["pair"].keys() == {"chisq_stat", "chisq_df"}
+    # the lag-0 statistic of the acceptance gates, on their 10 x 10 grid
+    pairs = np.column_stack([table.p_concept, table.p_label])
+    assert report["pair"]["chisq_stat"] == pair_chisq(pairs)[0]
+    assert report["pair"]["chisq_df"] == 99
 
 
 def test_report_defaults_to_the_columns_a_run_without_label_leg_has(tmp_path, capsys):
@@ -589,16 +596,18 @@ def test_report_defaults_to_the_columns_a_run_without_label_leg_has(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
-    assert set(report) == {"p_concept"}
+    assert report.keys() == {"p_concept"}
+    assert report["p_concept"].keys() == {"ks_distance", "sample_count"}
     assert report["p_concept"]["sample_count"] == 40
 
 
-def test_report_has_no_column_option(tmp_path, capsys):
+@pytest.mark.parametrize("option", [["--column", "both"], ["--bins", "10"]], ids=["column", "bins"])
+def test_report_has_no_column_option(tmp_path, capsys, option):
     path, _ = written_csv_lines(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
-        main(["report", "--column", "both", str(path)])
+        main(["report", *option, str(path)])
     assert exit_info.value.code == EXIT_CONFIG
-    assert "--column" in capsys.readouterr().err
+    assert option[0] in capsys.readouterr().err
 
 
 def test_sweep_command_writes_per_seed_files(tmp_path):
@@ -699,15 +708,11 @@ def test_sweep_rejects_bad_seed_and_counts(tmp_path, capsys):
         assert "expected a positive integer" in capsys.readouterr().err
 
 
-def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
+def test_report_rejects_bad_p_values(tmp_path, capsys):
     path = tmp_path / "table.csv"
     table = run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=4)))
     write_trajectory_csv(table, str(path))
     lines = path.read_text().splitlines()
-    for bins in ("0", "200000"):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["report", "--bins", bins, str(path)])
-        assert exit_info.value.code == EXIT_CONFIG
     for column, value in ((1, "nan"), (2, "nan"), (1, "inf"), (2, "-0.25"), (1, "1.5"), (2, "x")):
         fields = lines[3].split(",")
         fields[column] = value
@@ -716,15 +721,6 @@ def test_report_rejects_bad_p_values_and_bins(tmp_path, capsys):
             read_trajectory_csv(str(path))
         assert main(["report", str(path)]) == EXIT_DATA
         assert capsys.readouterr().out == ""
-
-
-def test_report_accepts_the_largest_bin_count(tmp_path, capsys):
-    path = tmp_path / "table.csv"
-    write_trajectory_csv(run_experiment(iid_config(data=ScenarioConfig("iid", n_steps=4))), str(path))
-    assert main(["report", "--bins", "1000", str(path)]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["p_concept"]["sample_count"] == 4
-    assert "pair" in report
 
 
 
@@ -890,10 +886,39 @@ def test_reader_rejects_a_blank_line_between_rows(tmp_path, capsys):
 def test_reader_refuses_an_overflowing_gap_without_a_warning(tmp_path, capsys):
     path, lines = written_csv_lines(tmp_path)
     for column in (4, 5, 6):
-        lines = set_cell(lines, 3, column, "1e308")
+        lines = set_cell(lines, 3, column, "1e+308")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_rejected(path, lines, capsys, "log10_blue is inf away")
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(1, value) for value in ("0.5_0", "1_0e-1", " 0.5", "0.5 ", "+0.5", "5e-1", "0.50")]
+    # a capital with a trailing 0
+    + [(column, "{}0") for column in (3, 4, 5, 6)],
+)
+def test_reader_refuses_a_number_run_does_not_write(tmp_path, capsys, column, value):
+    # each cell reads as a float, but run writes repr of that float only
+    path, lines = written_csv_lines(tmp_path)
+    value = value.format(lines[2].split(",")[column])
+    name = cli._COLUMNS[column - 1]
+    assert_rejected(path, set_cell(lines, 1, column, value), capsys, f"{name} holds a number not in shortest")
+
+
+@pytest.mark.parametrize(
+    "separator, end, match",
+    [("\n", "", "does not end in a newline"), ("\r\n", "\r\n", "header")],
+    ids=["no final newline", "windows line ends"],
+)
+def test_reader_refuses_line_ends_run_does_not_write(tmp_path, capsys, separator, end, match):
+    path, lines = written_csv_lines(tmp_path)
+    path.write_bytes((separator.join(lines) + end).encode("ascii"))
+    with pytest.raises(DataError, match=match):
+        read_trajectory_csv(str(path))
+    assert main(["report", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(path) in captured.err
 
 
 def test_report_on_an_empty_p_concept_column_exits_3(tmp_path, capsys):

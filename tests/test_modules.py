@@ -271,3 +271,24 @@ def test_importing_the_library_defers_what_only_some_calls_need():
         check=True,
     )
     assert json.loads(result.stdout) == []
+
+
+def package_imports(path: Path) -> list[str]:
+    """The names that the module at ``path`` imports from the package's other
+    modules (``from .module import name``), in the order it imports them."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+
+
+def test_the_package_exports_exactly_what_it_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import os\nfrom .core import Stream, Label as L\nfrom numpy import array\n")
+    assert package_imports(sample) == ["Stream", "L"]
+    assert shiftmart.__all__ == sorted(shiftmart.__all__)
+    assert set(shiftmart.__all__) == set(package_imports(PACKAGE / "__init__.py"))
+    assert len(shiftmart.__all__) == len(set(shiftmart.__all__))

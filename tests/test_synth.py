@@ -1,4 +1,4 @@
-"""Tests for the synthetic scenario generators and uniformity reports."""
+"""Tests for the synthetic scenario generators and uniformity statistics."""
 
 import dataclasses
 import hashlib
@@ -16,7 +16,6 @@ from shiftmart import (
     ks_distance,
     ks_uniform_bound,
     pair_chisq,
-    uniformity_report,
 )
 from shiftmart.synth import class_centres
 
@@ -41,6 +40,9 @@ def test_config_validation():
         ("label_transition", dict(scenario="iid", label_transition=uniform)),
         ("label_transition", dict(scenario="concept-shift", changepoint=3, label_transition=uniform)),
         ("label_transition", dict(scenario="label-shift", changepoint=3, label_transition=uniform)),
+        ("shift_magnitude", dict(scenario="iid", shift_magnitude=2.0)),
+        ("shift_magnitude", dict(scenario="iid", shift_magnitude=1e99)),
+        ("shift_magnitude", dict(scenario="markov-labels", shift_magnitude=0.0, label_transition=uniform)),
     ]
     for field, fields in ignored:
         with pytest.raises(ValueError, match=f"^{field} is for "):
@@ -62,14 +64,19 @@ def test_config_stores_normalised_fields():
         "markov-labels",
         n_steps=np.int64(10),
         label_transition=[[0, 1], np.array([0.5, 0.5])],
-        shift_magnitude=3,
         seed=np.int64(4),
     )
     assert config.label_transition == ((0.0, 1.0), (0.5, 0.5))
     assert {type(v) for row in config.label_transition for v in row} == {float}
-    assert type(config.shift_magnitude) is float
+    assert config.shift_magnitude is None
     assert type(config.n_steps) is type(config.seed) is int
     assert hash(config) == hash(dataclasses.replace(config))
+    shifted = ScenarioConfig("label-shift", n_steps=10, changepoint=5, shift_magnitude=3)
+    assert shifted.shift_magnitude == 3.0 and type(shifted.shift_magnitude) is float
+    assert hash(shifted) == hash(dataclasses.replace(shifted))
+    for scenario in ("concept-shift", "label-shift"):
+        default = ScenarioConfig(scenario, n_steps=10, changepoint=5)
+        assert default == ScenarioConfig(scenario, n_steps=10, changepoint=5, shift_magnitude=2.0)
     for rows in ([0.5, 0.5], "ab", 5):
         with pytest.raises(ValueError, match="label_transition must be a list of rows"):
             ScenarioConfig("markov-labels", n_steps=10, label_transition=rows)
@@ -267,22 +274,3 @@ def test_pair_chisq_detects_dependence():
     pairs = np.column_stack([u, u])
     stat, _ = pair_chisq(pairs, bins=10)
     assert stat > 1000.0
-
-
-def test_uniformity_report_fields():
-    samples = RandomSource(31, "tau").uniform_draws(1000)
-    pairs = samples.reshape(-1, 2)
-    report = uniformity_report(samples, pairs=pairs)
-    assert report.sample_count == 1000
-    assert report.pair_count == 500
-    assert report.chisq_bins == 10 and report.chisq_df == 99
-    assert 0.0 <= report.ks_distance <= 1.0
-    as_dict = dataclasses.asdict(report)
-    assert set(as_dict) == {
-        "ks_distance",
-        "sample_count",
-        "chisq_stat",
-        "chisq_bins",
-        "chisq_df",
-        "pair_count",
-    }
