@@ -54,7 +54,6 @@ import numpy as np
 from .core import real_field
 
 STRATEGY_TAGS = ("simple-jumper", "sleepy-jumper", "mixture-power")
-JUMPER_EPSILONS = (-1.0, 0.0, 1.0)
 
 _MIXTURE_CLAMP = 1e-12
 _LOG10 = math.log(10.0)
@@ -86,7 +85,7 @@ def _mixture_rule() -> tuple[np.ndarray, ...]:
 class BettingState:
     """Capital state of one betting strategy.
 
-    ``shares`` (Jumper strategies) are ordered as JUMPER_EPSILONS and stored
+    ``shares`` (Jumper strategies) are ordered eps = -1, 0, +1 and stored
     relative to the running total, which itself lives in ``log10_capital``.
     The mixture strategy keeps its sufficient statistics, O(1) per step:
     ``n_bets`` p-values seen and ``log_p_sum``, the sum of their clamped

@@ -88,6 +88,9 @@ def _parse_usps_file(path: str) -> tuple[list[np.ndarray], list[int]]:
                     f"{path}:{lineno}: expected {USPS_FIELDS} fields, got {len(fields)}"
                 )
             try:
+                # float() and numpy read "0_5" as 5, and no USPS file holds "_"
+                if "_" in line:
+                    raise ValueError("a field holds a digit-grouping underscore")
                 raw_label = float(fields[0])
                 features = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
@@ -260,7 +263,8 @@ class TrajectoryTable:
     present or all absent; each column is an ndarray; a p column has one
     entry per step, at least one, each in [0, 1] (NaN refused); a
     trajectory has one entry more, for the initial capital, is finite and
-    starts at 0; and blue is within 1e-9 of red + green.
+    starts at 0; no entry is -0.0, which no run writes; and blue is within
+    1e-9 of red + green.
 
     The constructor does not check, so that the benchmark's self-test can
     build broken tables to test its own output check. Every table the library makes, reads or writes
@@ -299,6 +303,8 @@ class TrajectoryTable:
                 raise ValueError(f"{name} holds a value that is not finite")
             if not is_p and values[0] != 0.0:
                 raise ValueError(f"{name} must start at 0, got {float(values[0])!r}")
+            if (np.signbit(values) & (values == 0.0)).any():
+                raise ValueError(f"{name} holds -0.0, which no run writes")
         if self.log10_blue is not None:
             # a sum that overflows is infinitely far from blue, not a warning
             with np.errstate(over="ignore"):
@@ -492,7 +498,7 @@ def read_trajectory_csv(path: str) -> TrajectoryTable:
 
 def _sweep_worker(args):
     config, seed, out_path = args
-    run_config = dataclasses.replace(config, seed=seed, output=out_path)
+    run_config = dataclasses.replace(config, seed=seed)
     table = run_experiment(run_config)
     write_trajectory_csv(table, out_path)
     return out_path

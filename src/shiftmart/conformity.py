@@ -35,8 +35,6 @@ scores).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 from .core import Observation, Stream
@@ -86,14 +84,13 @@ class NnCache:
     the running minima of both the old points and the new one. Every
     committed distance is ``sqrt(((X[i] - x)**2).sum())``, so the minima are
     bit-identical to a full scan. ``extend`` takes a ``Stream``, whose two
-    arrays are already checked, or converts anything else to one; it is the
-    engine's one conversion. No one can write a stream's rows, so the row
-    storage of an empty cache is the first stream's rows; a later call
-    copies them into larger, writable storage. The class ids and squared
-    norms are written once. ``extend`` folds the new rows into the minima in
-    blocks of up to ``_BLOCK`` rows, committing each block's steps at once,
-    and returns a log of the rows whose minima each step changed; ``insert``
-    is a stream of one. Small blocks and caches evaluate the formula on
+    arrays are already checked, and nothing else. An empty cache keeps the
+    first stream's rows, read-only as ``Stream`` defines that, as its row
+    storage; a later call copies them into larger, writable storage. The
+    class ids and squared norms are written once. ``extend`` folds the new
+    rows into the minima in blocks of up to ``_BLOCK`` rows, committing each
+    block's steps at once, and returns a log of the rows whose minima each
+    step changed; ``insert`` is a stream of one. Small blocks and caches evaluate the formula on
     every pair of a new point and an earlier one. Once a block's product
     with the stored rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that
     one matrix product screens the stored rows against the whole block with
@@ -165,15 +162,15 @@ class NnCache:
     def insert(self, obs: Observation) -> None:
         """Add one observation, updating all stored minima.
 
-        ``extend([obs])`` with its log ignored. Raises ValueError when the
-        object dimension does not match the cache (the first insertion fixes
-        the dimension). A stream of one pays the checks of a stream and a
-        block's fixed cost on every point; for a stream, ``extend`` is about
-        6x faster (see the class docstring).
+        ``extend`` of a stream of one, with its log ignored. Raises ValueError
+        when the object dimension does not match the cache (the first
+        insertion fixes the dimension). A stream of one pays the checks of a
+        stream and a block's fixed cost on every point; for a stream,
+        ``extend`` is about 6x faster (see the class docstring).
         """
-        self.extend([obs])
+        self.extend(Stream([obs.x], [obs.y]))
 
-    def extend(self, stream: Stream | Iterable[Observation]) -> tuple[np.ndarray, ...]:
+    def extend(self, stream: Stream) -> tuple[np.ndarray, ...]:
         """Insert a stream in order; return the log ``(rows, d_same, d_other)``.
 
         Each step logs the stored rows whose ``d_same`` or ``d_other`` that
@@ -182,21 +179,19 @@ class NnCache:
         as they stood right after that step. Every other row keeps its minima,
         and so its scores, at that step. The minima and class ids are those of
         one ``insert`` each: a label new to the cache takes the next id, in
-        one pass over the labels. An empty stream gives three empty arrays.
+        one pass over the labels. An empty stream, of any width, gives three
+        empty arrays and changes nothing.
 
-        Anything but a ``Stream`` is converted by ``Stream.of`` first, which
-        checks every object and label; ``insert`` and ``interleave`` pass
-        their argument here, so this is the one place a stream is converted.
-        A stream whose dimension does not match the cache raises ValueError,
-        and so does anything that ``Stream.of`` refuses, such as a label of
-        1.5 or ``True``; either way the cache is left exactly as it was, its
-        dimension included. The storage grows at most once per call, and the
-        stream's class ids and squared norms are written once, before the
-        first block. An empty cache keeps the stream's rows as its row
-        storage.
+        Anything but a ``Stream`` raises TypeError; build one with
+        ``Stream(x, y)``, which checks every object and label. A stream whose
+        dimension does not match the cache raises ValueError. Either way the
+        cache is left exactly as it was, its dimension included. The storage
+        grows at most once per call, and the stream's class ids and squared
+        norms are written once, before the first block. An empty cache keeps
+        the stream's rows as its row storage.
         """
         if not isinstance(stream, Stream):
-            stream = Stream.of(stream)
+            raise TypeError(f"expected a Stream, got {type(stream).__name__}; build one with Stream(x, y)")
         if not len(stream):
             return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         n0 = self._n

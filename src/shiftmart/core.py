@@ -17,7 +17,6 @@ import hashlib
 import math
 import numbers
 import reprlib
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +143,6 @@ class Stream:
     checked before it becomes an int64. A stream works like a list of
     observations: ``len``, iteration (one ``Observation`` a step), indexing
     and slicing (a slice is a ``Stream`` that shares the arrays).
-    ``Stream.of`` builds one from observations.
     """
 
     x: np.ndarray
@@ -161,21 +159,6 @@ class Stream:
             raise ValueError("object vector contains non-finite entries")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    @classmethod
-    def of(cls, observations: Iterable) -> Stream:
-        """The stream of ``observations``, in order: anything with an object
-        vector ``x`` and a label ``y``, such as ``Observation``. ValueError
-        unless the objects are 1-D vectors of one dimension. The objects are
-        copied into one new array, which the stream keeps."""
-        xs, ys = [], []
-        for obs in observations:
-            xs.append(np.asarray(obs.x, dtype=np.float64))
-            ys.append(obs.y)
-        shapes = {x.shape for x in xs}
-        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-            raise ValueError(f"objects must be 1-D vectors of one dimension, got shapes {sorted(shapes)}")
-        return cls(xs if xs else np.empty((0, 0)), ys)
 
     def __len__(self) -> int:
         return self.y.size

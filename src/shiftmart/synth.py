@@ -200,18 +200,18 @@ def ks_uniform_bound(n: int) -> float:
     return 1.95 / np.sqrt(n) + 0.005
 
 
-def pair_chisq(pairs, bins: int = 10) -> tuple[float, int]:
+def pair_chisq(pairs) -> tuple[float, int]:
     """Chi-square statistic of paired samples against uniformity on [0,1]^2.
 
-    Returns (statistic, degrees of freedom) for a bins x bins grid with
-    equal expected counts.
+    Returns (statistic, degrees of freedom) for a 10 x 10 grid with equal
+    expected counts.
     """
     pairs = np.asarray(pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (n, 2)")
     counts, _, _ = np.histogram2d(
-        pairs[:, 0], pairs[:, 1], bins=bins, range=[[0.0, 1.0], [0.0, 1.0]]
+        pairs[:, 0], pairs[:, 1], bins=10, range=[[0.0, 1.0], [0.0, 1.0]]
     )
-    expected = pairs.shape[0] / (bins * bins)
+    expected = pairs.shape[0] / counts.size
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, bins * bins - 1
+    return stat, counts.size - 1

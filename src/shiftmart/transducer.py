@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .core import Observation, RandomSource, Stream, real_field
+from .core import RandomSource, Stream, real_field
 from .conformity import NN_VARIANTS, NnCache, class_means, nn_scores
 
 
@@ -152,14 +152,14 @@ class InterleavedPValues:
 
 
 def interleave(
-    stream: Stream | Iterable[Observation],
+    stream: Stream,
     concept_measure: str,
     label_measure: str | None,
     tau_src: RandomSource,
     tau_prime_src: RandomSource | None,
     tau_black_src: RandomSource | None = None,
 ) -> InterleavedPValues:
-    """Run the transducer legs over a stream.
+    """Run the transducer legs over a ``Stream``.
 
     ``concept_measure`` and ``label_measure`` are NN variant tags; they may
     differ. The concept leg ranks the newest raw score within its class, as
@@ -174,8 +174,8 @@ def interleave(
     disjoint substreams. They are drawn for the whole stream at once, right
     after it is inserted, which gives the same values.
 
-    The stream is handed as it is to one ``NnCache.extend`` call, which
-    converts anything but a ``Stream``, inserts the two checked arrays whole
+    The stream goes to one ``NnCache.extend`` call, which refuses anything
+    but a ``Stream`` with TypeError, inserts the two checked arrays whole
     and logs for every step the rows whose minima that insertion lowered,
     then the new row, with their ``d_same`` and ``d_other`` as they stood at
     that step. Each step rescores only those rows: one ``nn_scores`` call per

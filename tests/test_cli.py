@@ -142,6 +142,24 @@ def test_loader_refuses_a_byte_outside_ascii(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith(f"data error: {train}:2: ")
 
 
+@pytest.mark.parametrize("field, value", [(0, "0_5"), (1, "0.1_5")], ids=["label", "feature"])
+def test_loader_refuses_a_digit_grouping_underscore(tmp_path, monkeypatch, capsys, field, value):
+    # float() reads "0_5" as 5 and numpy reads "0.1_5" as 0.15
+    fields = usps_row(3).split()
+    fields[field] = value
+    train = tmp_path / "underscore.train"
+    train.write_text(usps_row(3) + "\n" + " ".join(fields) + "\n")
+    test = tmp_path / "ok.test"
+    test.write_text(usps_row(1) + "\n")
+    with pytest.raises(DataError, match=r"underscore\.train:2: unparsable number"):
+        load_usps(str(train), str(test))
+    monkeypatch.chdir(tmp_path)
+    raw = scenario_config_dict()
+    raw["data"] = {"kind": "usps", "train_path": str(train), "test_path": str(test)}
+    assert main(["run", "--config", write_config(tmp_path, raw)]) == EXIT_DATA
+    assert "underscore.train:2: unparsable number" in capsys.readouterr().err
+
+
 # --- config --------------------------------------------------------------------
 
 
@@ -401,6 +419,27 @@ def test_calibration_script_runs_and_maps_errors_to_exit_codes():
     result = run_script("calibrate_shift_separation.py", *args, "--seeds", "0")
     assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
     assert "--seeds must be at least 1" in result.stderr
+
+
+def test_count_code_lines_script_skips_docstrings_comments_and_blank_lines(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""A module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "total = (1 +\n"
+        "         2)  # a two-line statement\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    return total\n"
+    )
+    result = run_script("count_code_lines.py", sample, sample)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout.split() == ["4", str(sample), "4", str(sample), "8", "total"]
+    result = run_script("count_code_lines.py", tmp_path / "missing.py")
+    assert (result.returncode, result.stdout) == (EXIT_DATA, "")
+    assert result.stderr.startswith(str(tmp_path / "missing.py"))
+    assert run_script("count_code_lines.py").returncode == EXIT_CONFIG
 
 
 # --- run_experiment --------------------------------------------------------------
@@ -802,6 +841,15 @@ BROKEN_CELLS = [
     ("log10_red", 0, 5.0, "log10_red must start at 0, got 5.0"),
     ("log10_green", 0, -1.0, "log10_green must start at 0, got -1.0"),
     ("log10_blue", 0, 5.0, "log10_blue must start at 0, got 5.0"),
+    # a p-value adds nonnegative terms and a trajectory is a sum that starts
+    # at +0.0, so a run never writes -0.0
+    ("p_concept", 0, -0.0, "p_concept holds -0.0"),
+    ("p_label", 0, -0.0, "p_label holds -0.0"),
+    ("log10_black", 1, -0.0, "log10_black holds -0.0"),
+    ("log10_black", 0, -0.0, "log10_black holds -0.0"),
+    ("log10_red", 0, -0.0, "log10_red holds -0.0"),
+    ("log10_green", 0, -0.0, "log10_green holds -0.0"),
+    ("log10_blue", 0, -0.0, "log10_blue holds -0.0"),
 ]
 
 
@@ -950,7 +998,8 @@ def test_a_broken_decomposition_is_an_internal_error(monkeypatch, tmp_path, caps
 
 # p-values at and near the ends of [0, 1], subnormals included
 _P_VALUES = st.sampled_from([0.0, 1.0, 5e-324, 2.5e-310, 1 - 2**-53]) | st.floats(0.0, 1.0)
-_CAPITALS = st.floats(-1e300, 1e300)
+# adding 0.0 turns -0.0, which no run writes, into 0.0
+_CAPITALS = st.floats(-1e300, 1e300).map(lambda value: value + 0.0)
 
 
 @st.composite

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from shiftmart import (
     ScenarioConfig,
     Stream,
     generate,
+    interleave,
     label_average,
     score_nn,
 )
@@ -27,7 +27,7 @@ from test_acceptance import _screened_streams
 
 
 def make_stream(points, labels):
-    return [Observation(np.atleast_1d(np.asarray(x, float)), y) for x, y in zip(points, labels)]
+    return Stream(np.asarray(points, float).reshape(len(labels), -1), labels)
 
 
 def fill_cache(stream):
@@ -79,12 +79,16 @@ def test_extend_stores_an_overflowing_distance_as_inf_without_a_warning():
     assert np.array_equal(cache.d_other, oracle_minima([[1e160], [-1e160]], [0, 1])[1])
 
 
-def test_extend_refuses_a_duck_typed_label_that_is_not_an_integer():
-    stream = [SimpleNamespace(x=np.array([float(i)]), y=y) for i, y in enumerate((1, 1.5, True))]
-    cache = NnCache()
-    with pytest.raises(ValueError, match="label must be an integer, got 1.5"):
-        cache.extend(stream)
-    assert cache.n == 0 and cache.dim is None
+def test_extend_and_interleave_take_only_a_stream():
+    stream = make_stream([0.0, 1.0, 3.0], [0, 1, 0])
+    for cache in (NnCache(), fill_cache(stream)):
+        n, dim = cache.n, cache.dim
+        for given in (list(stream), (obs for obs in stream), []):
+            with pytest.raises(TypeError, match=r"got (list|generator); build one with Stream\(x, y\)"):
+                cache.extend(given)
+            assert (cache.n, cache.dim) == (n, dim)
+    with pytest.raises(TypeError, match=r"got list; build one with Stream\(x, y\)"):
+        interleave(list(stream), "ratio", "ratio", RandomSource(1, "a"), RandomSource(1, "b"))
 
 
 def assert_same_state(cache, reference, context):
@@ -198,26 +202,17 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
             assert not missed, f"{context}, block at {n0}: {missed} pairs missed"
 
 
-def test_extend_stops_at_a_mismatched_dimension_mid_block():
+def test_extend_refuses_a_stream_of_another_dimension():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(46, 64))
     # labels 8 and 3 first appear in the stream that is refused
     labels = np.array([5] * 6 + [8, 3, 5] * 13 + [3])
     stream = make_stream(points, labels)
-    bad = 2 * _BLOCK + 8
-    stream[bad] = Observation(np.zeros(63), 0)
-    # an empty cache keeps no dimension from a refused first call
-    cache = NnCache()
-    with pytest.raises(ValueError, match="dimension"):
-        cache.extend(stream)
-    assert cache.n == 0 and cache.dim is None
-    cache.extend(stream[bad : bad + 1])
-    assert cache.dim == 63
     # a filled cache keeps its rows, minima and class ids
     head = 5
     cache, reference = fill_cache(stream[:head]), fill_cache(stream[:head])
-    with pytest.raises(ValueError, match="dimension"):
-        cache.extend(stream[head:])
+    with pytest.raises(ValueError, match="dimension 63 does not match cache dimension 64"):
+        cache.extend(make_stream(points[head:, :63], labels[head:]))
     assert cache.dim == 64
     assert_same_state(cache, reference, "after the mismatch")
     kept = [*range(head), head + 2]
@@ -235,25 +230,13 @@ def assert_empty_log(log):
 
 def test_extend_of_an_empty_stream_changes_nothing():
     cache = NnCache()
-    assert_empty_log(cache.extend([]))
+    assert_empty_log(cache.extend(Stream(np.empty((0, 1)), [])))
     assert cache.n == 0 and cache.dim is None
     stream = make_stream(np.arange(6.0), [0, 1, 0, 1, 1, 0])
     cache, reference = fill_cache(stream), fill_cache(stream)
-    assert_empty_log(cache.extend(iter([])))
+    assert_empty_log(cache.extend(Stream(np.empty((0, 0)), [])))
     assert cache.dim == 1
     assert_same_state(cache, reference, "after an empty extend")
-
-
-def test_extend_takes_a_one_shot_iterator():
-    rng = np.random.default_rng(9)
-    stream = make_stream(rng.normal(size=(2 * _BLOCK + 3, 4)), rng.integers(0, 3, size=2 * _BLOCK + 3))
-    cache, reference = NnCache(), NnCache()
-    log = cache.extend(obs for obs in stream)
-    expected = reference.extend(stream)
-    assert len(log) == len(expected) == 3
-    for got, want in zip(log, expected):
-        assert np.array_equal(got, want)
-    assert_same_state(cache, reference, "after a generator extend")
 
 
 def test_labels_are_dense_ids_in_first_seen_order():

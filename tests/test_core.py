@@ -2,7 +2,6 @@
 
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,9 +92,7 @@ def test_stream_holds_checked_read_only_arrays():
     assert isinstance(stream[-1], Observation) and stream[-1].y == 2
     tail = stream[1:]
     assert isinstance(tail, Stream) and np.array_equal(tail.x, x[1:]) and tail.y.tolist() == [0, 2]
-    again = Stream.of(stream)
-    assert np.array_equal(again.x, stream.x) and np.array_equal(again.y, stream.y)
-    assert Stream.of(iter([])).x.shape == (0, 0) and len(Stream.of([])) == 0
+    assert len(Stream(np.empty((0, 2)), [])) == 0
 
 
 class ArrayHolder:
@@ -119,7 +116,6 @@ def test_stream_freezes_only_the_arrays_it_made():
     made = (
         Stream(x.tolist(), y.tolist()),
         Stream(x.astype(np.float32), y.astype(np.uint8)),
-        Stream.of(Stream(x, y)),
     )
     for stream in made:
         assert np.array_equal(stream.x, x) and np.array_equal(stream.y, y)
@@ -187,8 +183,6 @@ def test_stream_refuses_malformed_objects():
         Stream(np.array([[0.0], [np.inf]]), [0, 0])
     with pytest.raises(ValueError, match="2 objects but 3 labels"):
         Stream(np.zeros((2, 1)), [0, 0, 0])
-    with pytest.raises(ValueError, match="one dimension"):
-        Stream.of([Observation(np.zeros(2), 0), Observation(np.zeros(3), 0)])
     # labels that are not a 1-D sequence, a scalar among them
     for labels in (1.5, 1, None, np.array(1.5)):
         with pytest.raises(ValueError, match="labels must be a 1-D array"):
@@ -202,8 +196,6 @@ def test_stream_refuses_a_label_that_int64_counts_cannot_hold(label):
     named = re.escape(str(label))
     with pytest.raises(ValueError, match=f"label .*{named}"):
         Stream(np.zeros((3, 1)), [0, 1, label])
-    with pytest.raises(ValueError, match=f"label .*{named}"):
-        Stream.of([SimpleNamespace(x=np.zeros(1), y=y) for y in (0, 1, label)])
     # an array of bools, floats, int64 or uint64
     with pytest.raises(ValueError, match=f"label .*{named}"):
         Stream(np.zeros((1, 1)), np.array([label]))

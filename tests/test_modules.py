@@ -156,34 +156,6 @@ def test_only_core_builds_observations(tmp_path):
     assert [name for name, calls in found.items() if calls] == ["core.py"]
 
 
-def stream_of_calls(path: Path) -> int:
-    """How many calls the module at ``path`` makes to ``Stream.of``, reached
-    through a name ``Stream`` or as an attribute, such as ``core.Stream.of``."""
-    tree = ast.parse(path.read_text(), str(path))
-    return sum(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "of"
-        and (getattr(node.func.value, "id", None) or getattr(node.func.value, "attr", None)) == "Stream"
-        for node in ast.walk(tree)
-    )
-
-
-def test_only_the_cache_converts_a_stream(tmp_path):
-    # NnCache.extend converts anything but a Stream, and every other caller
-    # hands its argument there
-    sample = tmp_path / "sample.py"
-    sample.write_text(
-        "from . import core\n"
-        "from .core import Stream\n"
-        "pair = Stream.of([]), core.Stream.of([])\n"
-        "build, other = Stream.of, Other.of([])\n"
-    )
-    assert stream_of_calls(sample) == 2
-    found = {path.name: stream_of_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert [name for name, calls in found.items() if calls] == ["conformity.py"]
-
-
 def ownership_reads(path: Path) -> set[str]:
     """The ownership facts of an array that the module at ``path`` reads:
     ``base`` for ``x.base``, ``writeable`` for ``x.flags.writeable``.

@@ -264,7 +264,7 @@ def test_ks_distance_rejects_empty():
 
 def test_pair_chisq_on_independent_uniforms():
     pairs = RandomSource(23, "tau").uniform_draws(20000).reshape(-1, 2)
-    stat, df = pair_chisq(pairs, bins=10)
+    stat, df = pair_chisq(pairs)
     assert df == 99
     assert stat < 160.0  # far below for genuinely uniform pairs
 
@@ -272,5 +272,5 @@ def test_pair_chisq_on_independent_uniforms():
 def test_pair_chisq_detects_dependence():
     u = RandomSource(29, "tau").uniform_draws(10000)
     pairs = np.column_stack([u, u])
-    stat, _ = pair_chisq(pairs, bins=10)
+    stat, _ = pair_chisq(pairs)
     assert stat > 1000.0

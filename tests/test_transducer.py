@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from shiftmart import (
     NN_VARIANTS,
     NnCache,
-    Observation,
     RandomSource,
     ScenarioConfig,
+    Stream,
     generate,
     interleave,
     label_average,
@@ -21,7 +21,7 @@ from shiftmart import (
 from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS
 
 from oracles import p_conformal_recount, p_label_conditional_recount
-from test_conformity import screened_streams
+from test_conformity import make_stream, screened_streams
 
 
 # --- single-step transducers -------------------------------------------------
@@ -109,12 +109,8 @@ def test_pvalues_in_range_and_monotone_in_tau(case, other_tau):
 # --- interleaving ------------------------------------------------------------
 
 
-def _stream(points, labels):
-    return [Observation(np.atleast_1d(np.asarray(x, float)), y) for x, y in zip(points, labels)]
-
-
 def test_all_labels_distinct_forces_concept_leg_to_tau():
-    stream = _stream([0.0, 4.0, 9.0], [0, 1, 2])
+    stream = make_stream([0.0, 4.0, 9.0], [0, 1, 2])
     expected = RandomSource(3, "tau").uniform_draws(3)
     result = interleave(
         stream, "ratio", "ratio", RandomSource(3, "tau"), RandomSource(3, "tau-prime")
@@ -123,7 +119,7 @@ def test_all_labels_distinct_forces_concept_leg_to_tau():
 
 
 def test_all_labels_equal_forces_label_leg_to_tau_prime():
-    stream = _stream([0.0, 4.0, 9.0], [1, 1, 1])
+    stream = make_stream([0.0, 4.0, 9.0], [1, 1, 1])
     expected = RandomSource(5, "tau-prime").uniform_draws(3)
     result = interleave(
         stream, "ratio", "ratio", RandomSource(5, "tau"), RandomSource(5, "tau-prime")
@@ -133,10 +129,12 @@ def test_all_labels_equal_forces_label_leg_to_tau_prime():
 
 def test_interleave_rejects_empty_stream_and_bad_measures():
     with pytest.raises(ValueError, match="empty"):
-        interleave([], "ratio", "ratio", RandomSource(1, "a"), RandomSource(1, "b"))
+        interleave(
+            Stream(np.empty((0, 1)), []), "ratio", "ratio", RandomSource(1, "a"), RandomSource(1, "b")
+        )
     with pytest.raises(ValueError, match="variant"):
         interleave(
-            _stream([0.0], [0]), "bogus", "ratio", RandomSource(1, "a"), RandomSource(1, "b")
+            make_stream([0.0], [0]), "bogus", "ratio", RandomSource(1, "a"), RandomSource(1, "b")
         )
 
 
@@ -152,24 +150,8 @@ def test_interleave_records_provenance_and_lengths():
     assert np.all((result.p_label >= 0) & (result.p_label <= 1))
 
 
-def test_interleave_of_a_one_shot_generator_matches_the_stream():
-    # the cache is the one place a stream is converted
-    stream = generate(ScenarioConfig("iid", n_steps=2 * _BLOCK + 5), RandomSource(4, "scenario"))
-
-    def legs(source):
-        return interleave(
-            source, "ratio", "same-class", RandomSource(4, "tau"), RandomSource(4, "tau-prime"),
-            RandomSource(4, "tau-black"),
-        )
-
-    got, want = legs(obs for obs in stream), legs(stream)
-    for leg in ("p_concept", "p_label", "p_black"):
-        assert np.array_equal(getattr(got, leg), getattr(want, leg)), leg
-    assert (got.concept_provenance, got.label_provenance) == (want.concept_provenance, want.label_provenance)
-
-
 def test_shared_source_mode_draws_concept_leg_first():
-    stream = _stream([0.0, 4.0], [0, 1])
+    stream = make_stream([0.0, 4.0], [0, 1])
     shared = RandomSource(9, "shared")
     result = interleave(stream, "ratio", "ratio", shared, shared)
     replay = RandomSource(9, "shared")
@@ -237,7 +219,7 @@ def _sources(seed, shared, with_black):
 @pytest.mark.parametrize("case", list(_exactness_streams()), ids=lambda case: case[0])
 def test_interleave_matches_the_per_step_transducers(case):
     name, points, labels = case
-    stream = _stream(points, labels)
+    stream = make_stream(points, labels)
     steps = list(_reference_steps(stream))
     for concept in NN_VARIANTS:
         for label in NN_VARIANTS + (None,):
@@ -283,7 +265,7 @@ def _batch_edge_streams():
 @pytest.mark.parametrize("case", list(_batch_edge_streams()), ids=lambda case: case[0])
 def test_interleave_batches_match_the_per_step_transducers(case):
     name, points, labels, first_infinite = case
-    stream = _stream(points, labels)
+    stream = make_stream(points, labels)
     steps = list(_reference_steps(stream))
     for concept, other in (("same-class", "ratio"), ("ratio", "nearest-object")):
         if first_infinite is not None:
@@ -314,7 +296,7 @@ def test_interleave_batches_match_the_per_step_transducers(case):
 def test_interleave_matches_the_recounts_where_the_cache_screens(case, concept, label, seed):
     context, points, labels, _ = case
     context = f"{context}: {concept}/{label}, seed={seed}"
-    stream = _stream(points, labels)
+    stream = make_stream(points, labels)
     result = interleave(stream, concept, label, *_sources(seed, False, True))
     tau_src, tau_prime_src, tau_black_src = _sources(seed, False, True)
     cache = NnCache()
