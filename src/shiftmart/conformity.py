@@ -49,8 +49,10 @@ NN_VARIANTS = (
 
 # A block of b insertions into a cache of n points of dimension d screens the
 # stored rows with one b x n x d matrix product once b * n * d reaches this
-# many multiply-adds; below it every pair is computed exactly. Both ways
-# commit the same formula, so the switch changes no output. Timed in a warm
+# many multiply-adds; below it every pair is computed exactly. The same rule
+# screens the block's own pairs once b * b * d reaches it too, so at d = 2 a
+# block of 16 computes them all. Both ways commit the same formula, so the
+# switch changes no output. Timed in a warm
 # process (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), the screen
 # broke even with the exact computation of every pair near b * n * d = 1000
 # to 1500 for d = 2, 4000 for d = 8 and 25000 for d = 64 and 256, for blocks
@@ -60,15 +62,38 @@ NN_VARIANTS = (
 # 16 took 0.34 of the time with the screen for d = 2 and 0.12 for d = 256.
 SCREEN_MIN_FLOATS = 4096
 
-# New points inserted and screened together by ``NnCache.extend``. A block of
-# b points makes a few b x n float temporaries. Interleaving 2000 points of
-# d = 256 with 10 classes in a warm process took 0.33 to 0.42 s with blocks
-# of 8 and 0.25 to 0.33 s with blocks of 16 and 32, and the peak memory of
-# the three differed by less than 0.2 MiB.
+# New points inserted and screened together by ``NnCache.extend``, which
+# holds a workspace of 19 bytes per block row and cache row. Blocks of 32
+# took ``extend`` 12 to 23 % less time than blocks of 16 (n = 1000, d = 2 and
+# n = 2000, d = 64 and 256, timed alternately in one process), but raised
+# the peak resident memory of a warm process running experiments of
+# n = 1000, d = 2 by 0.3 to 0.8 MiB, with or without the workspace, while
+# blocks of 16 left it as it was.
 _BLOCK = 16
+# _EARLIER[j, k]: row k of a block comes before row j
+_EARLIER = np.tri(_BLOCK, k=-1, dtype=bool)
+_EARLIER.flags.writeable = False
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
+
+class _Workspace:
+    """The buffers of one ``NnCache.extend`` call, which every block views.
+
+    For blocks of up to ``rows`` new rows and a cache of up to ``n`` rows:
+    two float rows of ``rows * n`` entries (the screen's product, then its
+    masked minima and thresholds; after the screen, the differences of the
+    pairs whose exact distances are computed, when they fit), three bool
+    rows of the same length (a block's pairs and the screen's two label
+    masks) and the squared minima of the rows. So a block allocates no
+    array of its size times the cache's.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.floats = np.empty((2, rows * n))
+        self.flags = np.empty((3, rows * n), dtype=bool)
+        self.squares = np.empty((2, n))
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -90,19 +115,22 @@ class NnCache:
     class ids and squared norms are written once. ``extend`` folds the new
     rows into the minima in blocks of up to ``_BLOCK`` rows, committing each
     block's steps at once, and returns a log of the rows whose minima each
-    step changed; ``insert`` is a stream of one. Small blocks and caches evaluate the formula on
-    every pair of a new point and an earlier one. Once a block's product
-    with the stored rows reaches ``SCREEN_MIN_FLOATS`` multiply-adds, that
-    one matrix product screens the stored rows against the whole block with
-    an approximate squared distance and a rigorous bound on its error, and
-    the formula is evaluated only on the few pairs that could change a
-    minimum (see ``_screen``). On a 2000-point IID stream with d = 256 and
-    10 classes (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86
-    VM), ``extend`` took 0.09 to 0.14 s in a warm process and one ``insert``
-    per point 0.68 to 0.79 s. Labels are stored as dense class ids, so memory
-    does not depend on the label values. ``labels``, ``d_same`` and
-    ``d_other`` make a read-only view of the storage on each read. The cache
-    is single-owner and mutable.
+    step changed; ``insert`` is a stream of one. Small blocks and caches
+    evaluate the formula on every pair of a new point and an earlier one.
+    Once a block's product with the stored rows reaches
+    ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix product screens
+    the stored rows against the whole block with an approximate squared
+    distance and a rigorous bound on its error, and the formula is
+    evaluated only on the few pairs that could change a minimum; once the
+    block's product with itself reaches it too, the product covers the
+    block's own pairs as well (see ``_screen``). The arrays of a block's
+    size times the cache's are views of one workspace per ``extend`` call.
+    On a 2000-point IID stream with d = 256 and 10 classes (numpy 2.4 with
+    OpenBLAS 0.3.31 on a 2-vCPU x86 VM), ``extend`` took 0.05 to 0.07 s in
+    a warm process and one ``insert`` per point 0.48 to 0.58 s. Labels are
+    stored as dense class ids, so memory does not depend on the label
+    values. ``labels``, ``d_same`` and ``d_other`` make a read-only view of
+    the storage on each read. The cache is single-owner and mutable.
     """
 
     def __init__(self):
@@ -166,9 +194,9 @@ class NnCache:
         when the object dimension does not match the cache (the first
         insertion fixes the dimension). A stream of one pays the checks of a
         stream and a block's fixed cost on every point; for a stream,
-        ``extend`` is about 6x faster (see the class docstring).
+        ``extend`` is about 8x faster (see the class docstring).
         """
-        self.extend(Stream([obs.x], [obs.y]))
+        self.extend(Stream(obs.x[None], np.array([obs.y])))
 
     def extend(self, stream: Stream) -> tuple[np.ndarray, ...]:
         """Insert a stream in order; return the log ``(rows, d_same, d_other)``.
@@ -214,23 +242,29 @@ class NnCache:
         # einsum, like vdot and unlike @, does not warn when a norm overflows
         # to inf, which only makes pairs candidates (see the screen)
         np.einsum("ij,ij->i", new, new, out=self._norms[n0:n])
-        blocks = [self._insert_block(i, min(i + _BLOCK, n)) for i in range(n0, n, _BLOCK)]
+        work = _Workspace(min(len(stream), _BLOCK), n)
+        blocks = [self._insert_block(i, min(i + _BLOCK, n), work) for i in range(n0, n, _BLOCK)]
+        # the log's pieces and the whole log are held at once below
+        del work
         self._n = n
         d_same, d_other = np.concatenate([minima for _, minima in blocks], axis=1)
         return np.concatenate([rows for rows, _ in blocks]), d_same, d_other
 
-    def _insert_block(self, n0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _insert_block(self, n0: int, n: int, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
         """Fold the stored rows n0..n-1 into the minima; return their log.
 
         The rows, class ids and squared norms are already written. The pairs
         (j, i) of row n0 + j and every row i before it that need an exact
-        distance are found and all their distances are computed in one call.
-        While the block's product with the rows before it stays below
+        distance are found, and their distances are computed in one call,
+        through ``work`` when their differences fit in a row of it. While
+        the block's product with the rows before it stays below
         ``SCREEN_MIN_FLOATS`` multiply-adds, every pair is exact. From there
-        on, the pairs with an earlier row of the same block are always exact,
-        and the pairs with the rows before n0 pass ``_screen``. Observations
-        are finite, so a distance is finite or +inf and never NaN; a finite
-        distance whose square overflows is +inf, as in a full scan.
+        on, the pairs with the rows before n0 pass ``_screen``,
+        and so do the pairs with an earlier row of the same block once the
+        block's own product b * b * d reaches ``SCREEN_MIN_FLOATS`` too;
+        below that they are all exact. Observations are finite, so a
+        distance is finite or +inf and never NaN; a finite distance whose
+        square overflows is +inf, as in a full scan.
 
         Commit, all steps at once. A pair whose distance is not below its
         row's minimum of its kind at the start of the block lowers nothing at
@@ -248,14 +282,31 @@ class NnCache:
         """
         b = n - n0
         x = self._x
-        # the j-th row of the block meets rows n0 + j - 1 and before
-        pairs = np.arange(n) < np.arange(n0, n)[:, None]
-        if b * n0 * x.shape[1] >= SCREEN_MIN_FLOATS:
-            self._screen(n0, n, pairs[:, :n0])
+        d = x.shape[1]
+        # pairs[j, i]: row i before row n0 + j needs an exact distance to it
+        pairs = work.flags[0, : b * n].reshape(b, n)
+        earlier = _EARLIER[:b, :b]
+        if b * n0 * d < SCREEN_MIN_FLOATS:
+            pairs[:, :n0] = True
+            pairs[:, n0:] = earlier
+        elif b * b * d < SCREEN_MIN_FLOATS:
+            self._screen(n0, n, pairs[:, :n0], work)
+            pairs[:, n0:] = earlier
+        else:
+            self._screen(n0, n, pairs, work)
+            pairs[:, n0:] &= earlier
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
         with np.errstate(over="ignore"):
-            diff = x[rows] - x[points]
+            if rows.size * d <= work.floats.shape[1]:
+                # as in every screened block of a long stream; "clip" writes
+                # out without a copy, and the indices are in range
+                diff, other = work.floats[:, : rows.size * d].reshape(2, rows.size, d)
+                np.take(x, rows, axis=0, out=diff, mode="clip")
+                np.take(x, points, axis=0, out=other, mode="clip")
+                diff -= other
+            else:
+                diff = x[rows] - x[points]
             diff *= diff
             dist = np.sqrt(diff.sum(axis=1))
         # 0 where the labels match, 1 where they differ: the row of _nearest.
@@ -290,11 +341,13 @@ class NnCache:
         lowered[np.arange(b), m - b + np.arange(b)] = True
         log_steps, log_columns = np.nonzero(lowered)
         nearest[:, touched] = running[-1].reshape(2, m)
-        minima = running.reshape(b + 1, 2, m)[log_steps + 1, :, log_columns].T
+        # one gather of both kinds: row 0 d_same, row 1 d_other
+        minima = running.reshape(-1)[(log_steps + 1) * (2 * m) + log_columns + [[0], [m]]]
         return touched[log_columns], minima
 
-    def _screen(self, n0: int, n: int, out: np.ndarray) -> None:
-        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0.
+    def _screen(self, n0: int, n: int, out: np.ndarray, work: _Workspace) -> None:
+        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0,
+        and with the points before them in the block when ``out`` has n columns.
 
         Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
         and t_j = ||x_j||**2, one product of the block with the stored rows
@@ -318,9 +371,10 @@ class NnCache:
             |a_ji - q_ji| <= ((4 d + 8) u (S_i + T) + 5 d eta) (1 + O(d u)).
 
         E_ji = 8 (d + 4) (u (s_i + t_j) + 2 eta) is about twice that. The
-        screen uses one term per new point, E_j = 8 (d + 4)
-        (u (s_max + t_j) + 2 eta) with s_max the largest s_i of the stored
-        rows, so E_j >= E_ji. It forms only the lower bound
+        screen uses one term per block, E = 8 (d + 4) (u (s_max + t_max) +
+        2 eta) with s_max the largest s_i of the rows the product covers and
+        t_max the largest t_j of the block, so E >= E_ji; below, E_j stands
+        for it. It forms only the lower bound
         lo_ji = (-2 X_i.x_j + s_i) + (t_j - E_j); the upper bound is
         hi_ji = lo_ji + 2 E_j. The product -2 X_i.x_j is taken with -2 x_j,
         which doubling gives exactly, so it is off by at most twice the
@@ -347,26 +401,70 @@ class NnCache:
         NaN or infinite approximation, e.g. from squared norms that overflow
         for entries near 1e154, makes the pair a candidate. The exact
         formula is then applied to the candidates only, as for a small cache.
+
+        The block's own pairs. When ``out`` has n columns, the product also
+        covers the new points, and lo_ji for a pair of new points n0 + i and
+        n0 + j is formed in the same way, with s_max taken over all n rows
+        the product covers, so the bound above holds for these pairs too.
+        h_j is still taken over the stored rows only, so it is at least the
+        squared exact minimum own_j of x_j's distances of its kind to the
+        stored rows. For i < j, the pair cannot lower row n0 + i's minimum of
+        its kind at step j, which is at most own_i as minima only shrink,
+        when lo_ji > h_i; and it cannot attain x_j's minimum of that kind,
+        which is at most own_j, when lo_ji > h_j. So a new point stands in
+        for m_i**2 with its own h_i, and a pair is skipped only where
+        ``lo > max(h_i, h_j)``; the pairs with i >= j are dropped by the
+        caller.
+
+        Every array of the block's size times the cache's is a view of
+        ``work``. The mask of each kind keeps lo where the kind matches and
+        puts +inf elsewhere through ``fmax`` with ``0 * inf`` (NaN, which
+        ``fmax`` ignores) or ``1 * inf``, so that no pass branches on each
+        entry, as ``np.where`` would.
         """
+        b, c = out.shape
         x = self._x
-        s = self._norms[:n0]
+        s = self._norms[:c]
         t = self._norms[n0:n, None]
-        same = self._labels[:n0] == self._labels[n0:n, None]
+        lo = work.floats[0, : b * c].reshape(b, c)
+        threshold = work.floats[1, : b * c].reshape(b, c)
+        same = work.flags[1, : b * c].reshape(b, c)
+        differ = work.flags[2, : b * c].reshape(b, c)
+        squares = work.squares
+        np.equal(self._labels[:c], self._labels[n0:n, None], out=same)
+        np.logical_not(same, out=differ)
         with np.errstate(over="ignore", invalid="ignore"):
-            err = 8.0 * (x.shape[1] + 4) * (_UNIT_ROUNDOFF * (s.max() + t) + _SMALLEST_SUBNORMAL)
-            # lo = (-2 X_i.x_j + s_i) + (t_j - E_j)
-            lo = (-2.0 * x[n0:n]) @ x[:n0].T
+            err = 8.0 * (x.shape[1] + 4) * (_UNIT_ROUNDOFF * (s.max() + t.max()) + _SMALLEST_SUBNORMAL)
+            # lo = (-2 X_i.x_j + s_i) + (t_j - E)
+            np.matmul(-2.0 * x[n0:n], x[:c].T, out=lo)
             lo += s
             lo += t - err
-            own_same = np.where(same, lo, np.inf).min(axis=1, initial=np.inf, keepdims=True)
-            own_other = np.where(same, np.inf, lo).min(axis=1, initial=np.inf, keepdims=True)
-            d_same, d_other = self._nearest[:, :n0]
-            threshold = np.where(
-                same,
-                np.maximum(d_same * d_same, own_same + 2.0 * err),
-                np.maximum(d_other * d_other, own_other + 2.0 * err),
-            )
-            np.logical_not(lo > threshold, out=out)
+            # h[k, j]: h_j of kind k (same, other) over the stored rows
+            h = np.empty((2, b, 1))
+            for k, elsewhere in enumerate((differ, same)):
+                np.copyto(threshold, elsewhere)
+                threshold *= np.inf
+                if c > n0:
+                    threshold[:, n0:] = np.inf
+                np.fmax(lo, threshold, out=threshold)
+                threshold.min(axis=1, out=h[k, :, 0])
+            h += 2.0 * err
+            h_same, h_other = h[0], h[1]
+            minima = self._nearest[:, :n0]
+            np.multiply(minima, minima, out=squares[:, :n0])
+            if c > n0:
+                # a new point stands in for m**2 with its own h of each kind
+                squares[:, n0:c] = h[:, :, 0]
+            # skip where lo > max(m**2, h) of the pair's kind
+            np.maximum(squares[1, :c], h_other, out=threshold)
+            np.greater(lo, threshold, out=out)
+            out &= differ
+            np.maximum(squares[0, :c], h_same, out=threshold)
+            # differ is free now
+            np.greater(lo, threshold, out=differ)
+            differ &= same
+            out |= differ
+            np.logical_not(out, out=out)
 
 
 def _extended_ratio(num, den: np.ndarray) -> np.ndarray:

@@ -137,7 +137,8 @@ class Stream:
     ``generate`` relies on that hand-over to keep its rows once.
 
     The arrays are checked once, in one vectorised pass: ``x``, once held,
-    is 2-D and finite, and every label is an integer in [0, 2**63),
+    is 2-D and finite (a list or tuple of rows of several shapes is refused
+    first, naming them), and every label is an integer in [0, 2**63),
     refusing bools and floats as ``integer_field`` does; an integer array's
     labels are checked as they are converted, since a uint64 label must be
     checked before it becomes an int64. A stream works like a list of
@@ -149,6 +150,11 @@ class Stream:
     y: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.x, (list, tuple)):
+            # numpy would refuse rows of several shapes in words of its own
+            shapes = sorted({np.shape(row) for row in self.x})
+            if len(shapes) > 1:
+                raise ValueError(f"object rows must share one shape, got {', '.join(map(str, shapes))}")
         x = _held(np.asarray(self.x, dtype=np.float64), self.x)
         if x.ndim != 2:
             raise ValueError(f"objects must be a 2-D array, got shape {x.shape}")

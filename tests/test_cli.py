@@ -442,6 +442,33 @@ def test_count_code_lines_script_skips_docstrings_comments_and_blank_lines(tmp_p
     assert run_script("count_code_lines.py").returncode == EXIT_CONFIG
 
 
+def test_fault_modes_script_summarises_run_records(tmp_path):
+    experiments = [
+        {"seed": 10, "wall_s": 0.030, "minor_faults": 1400},
+        {"seed": 11, "wall_s": 0.020, "minor_faults": 0},
+        {"seed": 12, "wall_s": 0.025, "minor_faults": 501},
+        # an experiment that raised has no timings
+        {"seed": 13, "failures": ["raised: see stderr"]},
+    ]
+    results = tmp_path / "results"
+    results.mkdir()
+    record = {"workload": "mc-small", "seed": 1, "experiments": experiments}
+    (results / "mc-small-seed1-trace0.json").write_text(json.dumps(record))
+    result = run_script("fault_modes.py", results)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout == (
+        f"{results / 'mc-small-seed1-trace0.json'}: mc-small seed=1 experiments=3"
+        " wall_s=0.0250 minor_faults=501 faulting=2\n"
+    )
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    result = run_script("fault_modes.py", broken)
+    assert (result.returncode, result.stdout) == (EXIT_DATA, "")
+    assert result.stderr.startswith(f"{broken}: not a run record")
+    assert run_script("fault_modes.py", tmp_path / "missing.json").returncode == EXIT_DATA
+    assert run_script("fault_modes.py").returncode == EXIT_CONFIG
+
+
 # --- run_experiment --------------------------------------------------------------
 
 

@@ -160,23 +160,78 @@ def test_extend_matches_one_at_a_time_inserts_and_the_full_scan():
     assert checked == 36
 
 
+def exact_distances(a, b):
+    """The committed formula for every pair of a row of ``a`` and one of ``b``."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((a[:, None] - b) ** 2).sum(axis=2))
+
+
+def own_pairs_stream(d):
+    """Stored rows near the origin, then a block whose own pairs each change
+    a minimum in one way only, with two duplicate rows and one far row.
+
+    Along one axis: a row at 10, then one at 4, which lowers the row at 10
+    (6 < its distance of about 10 to the stored rows) but is not the new
+    row's minimum (the stored rows are nearer to it); along another, a row
+    at 3, then one at 9, the nearest earlier row to the new one (6 < about
+    9) that does not lower the row at 3 (the stored rows are nearer).
+    """
+    rng = np.random.default_rng(41)
+    stored = 13 * _BLOCK
+    block = rng.normal(scale=0.1, size=(_BLOCK, d))
+    for row, (axis, at) in enumerate(((0, 10.0), (0, 4.0), (1, 3.0), (1, 9.0))):
+        block[3 + row] = 0.0
+        block[3 + row, axis] = at
+    block[9] = block[8]
+    block[12] = 1e3
+    points = np.concatenate([rng.normal(scale=0.1, size=(stored, d)), block])
+    labels = np.concatenate([rng.integers(0, 3, size=stored), np.zeros(_BLOCK, dtype=int)])
+    labels[stored + 3 : stored + 7] = 2
+    return points, labels
+
+
+def needed_pairs(x, ids, start):
+    """Masks, over the stored rows and over the block, of the pairs of each
+    new row n0 + j with a row before it whose exact distance is below that
+    row's minimum of its kind (a stored row's at the start of the block, a
+    new row's just before step j), or equals the new row's smallest distance
+    of that kind to the rows before it."""
+    n0 = start.shape[1]
+    n = x.shape[0]
+    dist = exact_distances(x[n0:], x)
+    kind = (ids[n0:, None] != ids).astype(np.intp)
+    before = np.arange(n) < np.arange(n0, n)[:, None]
+    needed = np.zeros_like(before)
+    needed[:, :n0] = dist[:, :n0] < start[kind[:, :n0], np.arange(n0)]
+    for j in range(n - n0):
+        for i in range(j):
+            # row n0 + i's minimum of the pair's kind over the rows before n0 + j
+            rows = (kind[i, : n0 + j] == kind[j, n0 + i]) & (np.arange(n0 + j) != n0 + i)
+            needed[j, n0 + i] = dist[j, n0 + i] < dist[i, : n0 + j][rows].min(initial=np.inf)
+    for k in (0, 1):
+        of_kind = np.where(before & (kind == k), dist, np.inf)
+        needed |= before & (kind == k) & (of_kind == of_kind.min(axis=1, keepdims=True))
+    return needed[:, :n0], needed[:, n0:]
+
+
 def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
-    """In each screened block, a pair whose exact distance is below its stored
-    row's minimum of its kind at the start of the block, or attains the new
-    point's smallest distance of its kind over the stored rows, is a
-    candidate."""
+    """In each screened block, a pair whose exact distance is below its
+    earlier row's minimum of its kind (a stored row's at the start of the
+    block, a new row's just before that step), or attains the new point's
+    smallest distance of its kind to the rows before it, is a candidate.
+    From d = 16 on, blocks of 16 screen their own pairs too."""
     calls = []
     screen = NnCache._screen
 
-    def recording_screen(cache, n0, n, out):
-        screen(cache, n0, n, out)
+    def recording_screen(cache, n0, n, out, work):
+        screen(cache, n0, n, out, work)
         calls.append((out.copy(), cache._x[:n].copy(), cache._labels[:n].copy(),
                       cache._nearest[:, :n0].copy()))
 
     monkeypatch.setattr(NnCache, "_screen", recording_screen)
     rng = np.random.default_rng(29)
     streams = {}
-    for n, d in ((160, 2), (96, 8)):
+    for n, d in ((160, 2), (96, 8), (96, 16), (64, 64)):
         # the last full block is screened
         assert _BLOCK * (n - _BLOCK) * d >= SCREEN_MIN_FLOATS
         for name, stream in _screened_streams(rng, n, d, 3).items():
@@ -185,21 +240,48 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
     far = rng.normal(size=(96, 8))
     far[0] *= 10
     streams["one far row (d=8)"] = far, rng.integers(0, 3, size=96)
+    for d in (16, 64):
+        streams[f"own pairs (d={d})"] = own_pairs_stream(d)
     for context, (points, labels) in streams.items():
         calls.clear()
         NnCache().extend(Stream(points, labels))
         assert calls, context
+        own_blocks = 0
         for mask, x, ids, start in calls:
             n0 = start.shape[1]
-            with np.errstate(over="ignore"):
-                dist = np.sqrt(((x[n0:, None] - x[:n0]) ** 2).sum(axis=2))
-            kind = (ids[n0:, None] != ids[:n0]).astype(np.intp)
-            needed = dist < start[kind, np.arange(n0)]
-            for k in (0, 1):
-                of_kind = np.where(kind == k, dist, np.inf)
-                needed |= (kind == k) & (of_kind == of_kind.min(axis=1, keepdims=True))
-            missed = np.count_nonzero(needed & ~mask)
+            stored, block = needed_pairs(x, ids, start)
+            missed = np.count_nonzero(stored & ~mask[:, :n0])
             assert not missed, f"{context}, block at {n0}: {missed} pairs missed"
+            # the block's own pairs are all exact unless the screen covered them
+            if mask.shape[1] == x.shape[0]:
+                own_blocks += 1
+                missed = np.count_nonzero(block & ~mask[:, n0:])
+                assert not missed, f"{context}, block at {n0}: {missed} of its own pairs missed"
+        d = points.shape[1]
+        assert bool(own_blocks) == (_BLOCK * _BLOCK * d >= SCREEN_MIN_FLOATS), context
+
+
+@pytest.mark.parametrize("d", [2, 256])
+def test_extend_allocates_no_block_sized_temporaries(d):
+    """A screened ``extend`` holds the cache's arrays, one workspace of two
+    float and three bool arrays of ``_BLOCK`` x n and the log; each block
+    adds less than a quarter of one ``_BLOCK`` x n float array on top."""
+    n = 6000
+    rng = np.random.default_rng(d)
+    stream = Stream(rng.normal(size=(n, d)), rng.integers(0, 10, size=n))
+    cache = NnCache()
+    tracemalloc.start()
+    try:
+        log = cache.extend(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the cache keeps the stream's rows, which were allocated before tracing
+    assert cache._x is stream.x
+    held = cache._norms.nbytes + cache._labels.nbytes + cache._nearest.nbytes
+    workspace = _BLOCK * n * (2 * 8 + 3) + 2 * n * 8
+    margin = _BLOCK * n * 8 // 4
+    assert peak < held + workspace + sum(a.nbytes for a in log) + margin
 
 
 def test_extend_refuses_a_stream_of_another_dimension():

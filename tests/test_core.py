@@ -183,6 +183,11 @@ def test_stream_refuses_malformed_objects():
         Stream(np.array([[0.0], [np.inf]]), [0, 0])
     with pytest.raises(ValueError, match="2 objects but 3 labels"):
         Stream(np.zeros((2, 1)), [0, 0, 0])
+    # rows of several shapes, named in the stream's words rather than numpy's
+    with pytest.raises(ValueError, match=re.escape("one shape, got (2,), (3,)")):
+        Stream([np.zeros(2), np.zeros(3)], [0, 0])
+    with pytest.raises(ValueError, match=re.escape("one shape, got (), (2,)")):
+        Stream((np.zeros(2), "ab"), [0, 0])
     # labels that are not a 1-D sequence, a scalar among them
     for labels in (1.5, 1, None, np.array(1.5)):
         with pytest.raises(ValueError, match="labels must be a 1-D array"):
