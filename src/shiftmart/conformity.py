@@ -81,19 +81,23 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 class _Workspace:
     """The buffers of one ``NnCache.extend`` call, which every block views.
 
-    For blocks of up to ``rows`` new rows and a cache of up to ``n`` rows:
-    two float rows of ``rows * n`` entries (the screen's product, then its
-    masked minima and thresholds; after the screen, the differences of the
-    pairs whose exact distances are computed, when they fit), three bool
-    rows of the same length (a block's pairs and the screen's two label
-    masks) and the squared minima of the rows. So a block allocates no
-    array of its size times the cache's.
+    For blocks of up to ``rows`` new rows and a cache of up to ``n`` rows,
+    flat arrays of ``rows * n`` entries: ``pairs``, the block's pairs that
+    need an exact distance, owned by ``_insert_block``; ``same`` and
+    ``differ``, the screen's label masks; ``lo`` and ``threshold``, the
+    screen's product and its masked minima and thresholds, which after the
+    screen hold the differences of the exact pairs when they fit. And
+    ``squares``, the rows' squared minima of each kind. So a block
+    allocates no array of its size times the cache's.
     """
 
     def __init__(self, rows: int, n: int):
-        self.floats = np.empty((2, rows * n))
-        self.flags = np.empty((3, rows * n), dtype=bool)
-        self.squares = np.empty((2, n))
+        size = rows * n
+        floats = np.empty(2 * size + 2 * n)
+        self.lo, self.threshold = floats[:size], floats[size : 2 * size]
+        self.squares = floats[2 * size :].reshape(2, n)
+        flags = np.empty(3 * size, dtype=bool)
+        self.pairs, self.same, self.differ = flags[:size], flags[size : 2 * size], flags[2 * size :]
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -256,8 +260,8 @@ class NnCache:
         The rows, class ids and squared norms are already written. The pairs
         (j, i) of row n0 + j and every row i before it that need an exact
         distance are found, and their distances are computed in one call,
-        through ``work`` when their differences fit in a row of it. While
-        the block's product with the rows before it stays below
+        through ``work.lo`` and ``work.threshold`` when their differences
+        fit. While the block's product with the rows before it stays below
         ``SCREEN_MIN_FLOATS`` multiply-adds, every pair is exact. From there
         on, the pairs with the rows before n0 pass ``_screen``,
         and so do the pairs with an earlier row of the same block once the
@@ -284,7 +288,7 @@ class NnCache:
         x = self._x
         d = x.shape[1]
         # pairs[j, i]: row i before row n0 + j needs an exact distance to it
-        pairs = work.flags[0, : b * n].reshape(b, n)
+        pairs = work.pairs[: b * n].reshape(b, n)
         earlier = _EARLIER[:b, :b]
         if b * n0 * d < SCREEN_MIN_FLOATS:
             pairs[:, :n0] = True
@@ -298,10 +302,11 @@ class NnCache:
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
         with np.errstate(over="ignore"):
-            if rows.size * d <= work.floats.shape[1]:
+            if rows.size * d <= work.lo.size:
                 # as in every screened block of a long stream; "clip" writes
                 # out without a copy, and the indices are in range
-                diff, other = work.floats[:, : rows.size * d].reshape(2, rows.size, d)
+                diff = work.lo[: rows.size * d].reshape(rows.size, d)
+                other = work.threshold[: rows.size * d].reshape(rows.size, d)
                 np.take(x, rows, axis=0, out=diff, mode="clip")
                 np.take(x, points, axis=0, out=other, mode="clip")
                 diff -= other
@@ -341,8 +346,7 @@ class NnCache:
         lowered[np.arange(b), m - b + np.arange(b)] = True
         log_steps, log_columns = np.nonzero(lowered)
         nearest[:, touched] = running[-1].reshape(2, m)
-        # one gather of both kinds: row 0 d_same, row 1 d_other
-        minima = running.reshape(-1)[(log_steps + 1) * (2 * m) + log_columns + [[0], [m]]]
+        minima = running.reshape(b + 1, 2, m)[log_steps + 1, :, log_columns].T
         return touched[log_columns], minima
 
     def _screen(self, n0: int, n: int, out: np.ndarray, work: _Workspace) -> None:
@@ -426,10 +430,10 @@ class NnCache:
         x = self._x
         s = self._norms[:c]
         t = self._norms[n0:n, None]
-        lo = work.floats[0, : b * c].reshape(b, c)
-        threshold = work.floats[1, : b * c].reshape(b, c)
-        same = work.flags[1, : b * c].reshape(b, c)
-        differ = work.flags[2, : b * c].reshape(b, c)
+        lo = work.lo[: b * c].reshape(b, c)
+        threshold = work.threshold[: b * c].reshape(b, c)
+        same = work.same[: b * c].reshape(b, c)
+        differ = work.differ[: b * c].reshape(b, c)
         squares = work.squares
         np.equal(self._labels[:c], self._labels[n0:n, None], out=same)
         np.logical_not(same, out=differ)

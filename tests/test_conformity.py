@@ -195,7 +195,8 @@ def needed_pairs(x, ids, start):
     new row n0 + j with a row before it whose exact distance is below that
     row's minimum of its kind (a stored row's at the start of the block, a
     new row's just before step j), or equals the new row's smallest distance
-    of that kind to the rows before it."""
+    of that kind (to the stored rows for a stored row, to every row before
+    it for a row of the block)."""
     n0 = start.shape[1]
     n = x.shape[0]
     dist = exact_distances(x[n0:], x)
@@ -210,7 +211,10 @@ def needed_pairs(x, ids, start):
             needed[j, n0 + i] = dist[j, n0 + i] < dist[i, : n0 + j][rows].min(initial=np.inf)
     for k in (0, 1):
         of_kind = np.where(before & (kind == k), dist, np.inf)
-        needed |= before & (kind == k) & (of_kind == of_kind.min(axis=1, keepdims=True))
+        least = np.empty_like(of_kind)
+        least[:, :n0] = of_kind[:, :n0].min(axis=1, keepdims=True)
+        least[:, n0:] = of_kind.min(axis=1, keepdims=True)
+        needed |= before & (kind == k) & (of_kind == least)
     return needed[:, :n0], needed[:, n0:]
 
 
@@ -218,7 +222,8 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
     """In each screened block, a pair whose exact distance is below its
     earlier row's minimum of its kind (a stored row's at the start of the
     block, a new row's just before that step), or attains the new point's
-    smallest distance of its kind to the rows before it, is a candidate.
+    smallest distance of its kind (over the stored rows for a stored row,
+    over every row before it for a row of the block), is a candidate.
     From d = 16 on, blocks of 16 screen their own pairs too."""
     calls = []
     screen = NnCache._screen
