@@ -251,7 +251,9 @@ class NnCache:
         # the log's pieces and the whole log are held at once below
         del work
         self._n = n
-        d_same, d_other = np.concatenate([minima for _, minima in blocks], axis=1)
+        # one transpose of the joined log, not one a block: numpy joins
+        # transposed pieces through buffers of its own
+        d_same, d_other = np.concatenate([minima for _, minima in blocks]).T
         return np.concatenate([rows for rows, _ in blocks]), d_same, d_other
 
     def _insert_block(self, n0: int, n: int, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +348,8 @@ class NnCache:
         lowered[np.arange(b), m - b + np.arange(b)] = True
         log_steps, log_columns = np.nonzero(lowered)
         nearest[:, touched] = running[-1].reshape(2, m)
-        minima = running.reshape(b + 1, 2, m)[log_steps + 1, :, log_columns].T
+        # minima[k]: d_same and d_other of logged row k
+        minima = running.reshape(b + 1, 2, m)[log_steps + 1, :, log_columns]
         return touched[log_columns], minima
 
     def _screen(self, n0: int, n: int, out: np.ndarray, work: _Workspace) -> None:
