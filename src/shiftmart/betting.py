@@ -39,7 +39,7 @@ one value, so the two agree bit for bit.
 this is only a valid martingale when the legs were randomized from disjoint
 substreams, which is checked via the recorded provenance unless explicitly
 overridden. ``check_betting_validity`` verifies the integral-to-one betting
-contract numerically for a strategy over sampled prefixes.
+contract numerically for a strategy tag over sampled prefixes.
 """
 
 from __future__ import annotations
@@ -271,40 +271,32 @@ def product_martingale(
     return MartingaleTrajectory(a.log10_values + b.log10_values, provenance)
 
 
-def _capital_fn(strategy, jump_rate):
-    """Turn a strategy tag or callable into F: p-sequence -> capital."""
-    if callable(strategy):
-        return strategy
-
-    def capital(ps):
-        state = initial_state(strategy, jump_rate)
-        return 10.0 ** run_martingale(state, ps).final
-
-    return capital
-
-
 def check_betting_validity(strategy, prefixes, jump_rate: float = 0.001) -> float:
     """Max deviation from the betting contract over the given prefixes.
 
     For each prefix the integral of F(prefix + [u]) over u in [0, 1] is
-    compared against F(prefix); a valid betting strategy makes every such
-    difference zero. ``strategy`` is a tag from STRATEGY_TAGS or a callable
-    mapping a p-value sequence to a capital. Returns the maximum absolute
-    error; anything persistently above quadrature roundoff flags an invalid
-    strategy.
+    compared against F(prefix), where F maps a p-value sequence to the
+    capital ``run_martingale`` gives from a fresh state; a valid betting
+    strategy makes every such difference zero. ``strategy`` is a tag from
+    STRATEGY_TAGS; anything else raises the ValueError of
+    ``initial_state``. Returns the maximum absolute error; anything
+    persistently above quadrature roundoff flags an invalid strategy.
 
     The rule of integration follows from the strategy. A Jumper step is
     affine in the next p-value, so 2-point Gauss-Legendre is exact for the
-    jumper tags; a callable is evaluated as a black box at the nodes of
-    8-point Gauss-Legendre. For ``mixture-power`` each quadrature component
+    jumper tags. For ``mixture-power`` each quadrature component
     e*u**(e-1) is integrated in closed form, which no sampling rule can do
     because for small exponents almost all of the component's mass sits
     below the smallest representable float.
     """
-    capital = _capital_fn(strategy, jump_rate)
+    state = initial_state(strategy, jump_rate)
+
+    def capital(ps):
+        return 10.0 ** run_martingale(state, ps).final
+
     mixture = strategy == "mixture-power"
     if not mixture:
-        nodes, weights = np.polynomial.legendre.leggauss(8 if callable(strategy) else 2)
+        nodes, weights = np.polynomial.legendre.leggauss(2)
         nodes = 0.5 * (nodes + 1.0)
         weights = 0.5 * weights
 

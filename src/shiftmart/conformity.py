@@ -48,18 +48,17 @@ NN_VARIANTS = (
 
 
 # A block of b insertions into a cache of n points of dimension d screens the
-# stored rows with one b x n x d matrix product once b * n * d reaches this
-# many multiply-adds; below it every pair is computed exactly. The same rule
-# screens the block's own pairs once b * b * d reaches it too, so at d = 2 a
-# block of 16 computes them all. Both ways commit the same formula, so the
-# switch changes no output. Timed in a warm
-# process (numpy 2.4 with OpenBLAS 0.3.31 on a 2-vCPU x86 VM), the screen
-# broke even with the exact computation of every pair near b * n * d = 1000
-# to 1500 for d = 2, 4000 for d = 8 and 25000 for d = 64 and 256, for blocks
-# of 1 and of 16 alike. Between this value and those break-evens the slower
-# way took at most about twice as long as the faster, and a block cost up to
-# 0.15 ms (1 point) or 0.35 ms (16 points) either way; at n = 512 a block of
-# 16 took 0.34 of the time with the screen for d = 2 and 0.12 for d = 256.
+# stored rows, and with them the block's own pairs, with one matrix product
+# once b * n * d reaches this many multiply-adds; below it every pair is
+# computed exactly. Both ways commit the same formula, so the switch changes
+# no output. Timed in a warm process (numpy 2.4 with OpenBLAS 0.3.31 on a
+# 2-vCPU x86 VM), the screen broke even with the exact computation of every
+# pair near b * n * d = 1000 to 1500 for d = 2, 4000 for d = 8 and 25000
+# for d = 64 and 256, for blocks of 1 and of 16 alike. Between this value and
+# those break-evens the slower way took at most about twice as long as the
+# faster, and a block cost up to 0.15 ms (1 point) or 0.35 ms (16 points)
+# either way; at n = 512 a block of 16 took 0.34 of the time with the screen
+# for d = 2 and 0.12 for d = 256.
 SCREEN_MIN_FLOATS = 4096
 
 # New points inserted and screened together by ``NnCache.extend``, which
@@ -87,8 +86,9 @@ class _Workspace:
     ``differ``, the screen's label masks; ``lo`` and ``threshold``, the
     screen's product and its masked minima and thresholds, which after the
     screen hold the differences of the exact pairs when they fit. And
-    ``squares``, the rows' squared minima of each kind. So a block
-    allocates no array of its size times the cache's.
+    ``squares``, the stored rows' squared minima of each kind and the new
+    rows' stand-ins for them. So a block allocates no array of its size
+    times the cache's.
     """
 
     def __init__(self, rows: int, n: int):
@@ -125,10 +125,10 @@ class NnCache:
     ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix product screens
     the stored rows against the whole block with an approximate squared
     distance and a rigorous bound on its error, and the formula is
-    evaluated only on the few pairs that could change a minimum; once the
-    block's product with itself reaches it too, the product covers the
-    block's own pairs as well (see ``_screen``). The arrays of a block's
-    size times the cache's are views of one workspace per ``extend`` call.
+    evaluated only on the few pairs that could change a minimum; the same
+    product screens the block's own pairs (see ``_screen``). The arrays of
+    a block's size times the cache's are views of one workspace per
+    ``extend`` call.
     On a 2000-point IID stream with d = 256 and 10 classes (numpy 2.4 with
     OpenBLAS 0.3.31 on a 2-vCPU x86 VM), ``extend`` took 0.05 to 0.07 s in
     a warm process and one ``insert`` per point 0.48 to 0.58 s. Labels are
@@ -265,12 +265,10 @@ class NnCache:
         through ``work.lo`` and ``work.threshold`` when their differences
         fit. While the block's product with the rows before it stays below
         ``SCREEN_MIN_FLOATS`` multiply-adds, every pair is exact. From there
-        on, the pairs with the rows before n0 pass ``_screen``,
-        and so do the pairs with an earlier row of the same block once the
-        block's own product b * b * d reaches ``SCREEN_MIN_FLOATS`` too;
-        below that they are all exact. Observations are finite, so a
-        distance is finite or +inf and never NaN; a finite distance whose
-        square overflows is +inf, as in a full scan.
+        on, every pair passes ``_screen``, both those with the rows before
+        n0 and those with an earlier row of the same block. Observations are
+        finite, so a distance is finite or +inf and never NaN; a finite
+        distance whose square overflows is +inf, as in a full scan.
 
         Commit, all steps at once. A pair whose distance is not below its
         row's minimum of its kind at the start of the block lowers nothing at
@@ -291,16 +289,11 @@ class NnCache:
         d = x.shape[1]
         # pairs[j, i]: row i before row n0 + j needs an exact distance to it
         pairs = work.pairs[: b * n].reshape(b, n)
-        earlier = _EARLIER[:b, :b]
         if b * n0 * d < SCREEN_MIN_FLOATS:
-            pairs[:, :n0] = True
-            pairs[:, n0:] = earlier
-        elif b * b * d < SCREEN_MIN_FLOATS:
-            self._screen(n0, n, pairs[:, :n0], work)
-            pairs[:, n0:] = earlier
+            pairs[:] = True
         else:
             self._screen(n0, n, pairs, work)
-            pairs[:, n0:] &= earlier
+        pairs[:, n0:] &= _EARLIER[:b, :b]
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
         with np.errstate(over="ignore"):
@@ -353,12 +346,12 @@ class NnCache:
         return touched[log_columns], minima
 
     def _screen(self, n0: int, n: int, out: np.ndarray, work: _Workspace) -> None:
-        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0,
-        and with the points before them in the block when ``out`` has n columns.
+        """Mark in ``out`` the candidate pairs of points n0..n-1 with the rows before n0
+        and with the points before them in the block (``out`` has n columns).
 
         Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
-        and t_j = ||x_j||**2, one product of the block with the stored rows
-        gives a_ji = s_i - 2 X_i.x_j + t_j, an approximation of the squared
+        and t_j = ||x_j||**2, one product of the block with the rows before
+        n gives a_ji = s_i - 2 X_i.x_j + t_j, an approximation of the squared
         distance D_ji = ||X_i - x_j||**2.
 
         Error bound. Let u = 2**-53 be the unit roundoff and eta = 2**-1075
@@ -378,9 +371,9 @@ class NnCache:
             |a_ji - q_ji| <= ((4 d + 8) u (S_i + T) + 5 d eta) (1 + O(d u)).
 
         E_ji = 8 (d + 4) (u (s_i + t_j) + 2 eta) is about twice that. The
-        screen uses one term per block, E = 8 (d + 4) (u (s_max + t_max) +
-        2 eta) with s_max the largest s_i of the rows the product covers and
-        t_max the largest t_j of the block, so E >= E_ji; below, E_j stands
+        screen uses one term per block, E = 16 (d + 4) (u s_max + eta) with
+        s_max the largest s_i of the rows the product covers, which include
+        the block's own, so s_max >= t_j and E >= E_ji; below, E_j stands
         for it. It forms only the lower bound
         lo_ji = (-2 X_i.x_j + s_i) + (t_j - E_j); the upper bound is
         hi_ji = lo_ji + 2 E_j. The product -2 X_i.x_j is taken with -2 x_j,
@@ -409,10 +402,10 @@ class NnCache:
         for entries near 1e154, makes the pair a candidate. The exact
         formula is then applied to the candidates only, as for a small cache.
 
-        The block's own pairs. When ``out`` has n columns, the product also
-        covers the new points, and lo_ji for a pair of new points n0 + i and
-        n0 + j is formed in the same way, with s_max taken over all n rows
-        the product covers, so the bound above holds for these pairs too.
+        The block's own pairs. The product covers the new points too, and
+        lo_ji for a pair of new points n0 + i and n0 + j is formed in the
+        same way, with the same E, so the bound above holds for these pairs
+        too, whatever d is.
         h_j is still taken over the stored rows only, so it is at least the
         squared exact minimum own_j of x_j's distances of its kind to the
         stored rows. For i < j, the pair cannot lower row n0 + i's minimum of
@@ -429,44 +422,40 @@ class NnCache:
         ``fmax`` ignores) or ``1 * inf``, so that no pass branches on each
         entry, as ``np.where`` would.
         """
-        b, c = out.shape
+        b = out.shape[0]
         x = self._x
-        s = self._norms[:c]
+        s = self._norms[:n]
         t = self._norms[n0:n, None]
-        lo = work.lo[: b * c].reshape(b, c)
-        threshold = work.threshold[: b * c].reshape(b, c)
-        same = work.same[: b * c].reshape(b, c)
-        differ = work.differ[: b * c].reshape(b, c)
+        lo = work.lo[: b * n].reshape(b, n)
+        threshold = work.threshold[: b * n].reshape(b, n)
+        same = work.same[: b * n].reshape(b, n)
+        differ = work.differ[: b * n].reshape(b, n)
         squares = work.squares
-        np.equal(self._labels[:c], self._labels[n0:n, None], out=same)
+        np.equal(self._labels[:n], self._labels[n0:n, None], out=same)
         np.logical_not(same, out=differ)
         with np.errstate(over="ignore", invalid="ignore"):
-            err = 8.0 * (x.shape[1] + 4) * (_UNIT_ROUNDOFF * (s.max() + t.max()) + _SMALLEST_SUBNORMAL)
+            err = 8.0 * (x.shape[1] + 4) * (2.0 * _UNIT_ROUNDOFF * s.max() + _SMALLEST_SUBNORMAL)
             # lo = (-2 X_i.x_j + s_i) + (t_j - E)
-            np.matmul(-2.0 * x[n0:n], x[:c].T, out=lo)
+            np.matmul(-2.0 * x[n0:n], x[:n].T, out=lo)
             lo += s
             lo += t - err
-            # h[k, j]: h_j of kind k (same, other) over the stored rows
-            h = np.empty((2, b, 1))
+            # h[k, j]: h_j of kind k (same, other) over the stored rows; a
+            # new point stands in for m**2 with its own h of each kind
+            h = squares[:, n0:n]
             for k, elsewhere in enumerate((differ, same)):
                 np.copyto(threshold, elsewhere)
                 threshold *= np.inf
-                if c > n0:
-                    threshold[:, n0:] = np.inf
                 np.fmax(lo, threshold, out=threshold)
-                threshold.min(axis=1, out=h[k, :, 0])
+                threshold[:, :n0].min(axis=1, out=h[k])
             h += 2.0 * err
-            h_same, h_other = h[0], h[1]
+            h_same, h_other = h[0, :, None], h[1, :, None]
             minima = self._nearest[:, :n0]
             np.multiply(minima, minima, out=squares[:, :n0])
-            if c > n0:
-                # a new point stands in for m**2 with its own h of each kind
-                squares[:, n0:c] = h[:, :, 0]
             # skip where lo > max(m**2, h) of the pair's kind
-            np.maximum(squares[1, :c], h_other, out=threshold)
+            np.maximum(squares[1, :n], h_other, out=threshold)
             np.greater(lo, threshold, out=out)
             out &= differ
-            np.maximum(squares[0, :c], h_same, out=threshold)
+            np.maximum(squares[0, :n], h_same, out=threshold)
             # differ is free now
             np.greater(lo, threshold, out=differ)
             differ &= same

@@ -166,13 +166,14 @@ def interleave(
     ``p_label_conditional`` does; the label leg ranks the newest class mean
     among the class-averaged scores, as ``p_conformal`` on ``label_average``
     does. A ``label_measure`` of None drops the label leg, and
-    ``tau_prime_src`` is then never drawn from. With ``tau_black_src`` the
-    black leg ranks the newest concept score among all of them, as
-    ``p_conformal`` does. Each step's tau values are those of drawing black,
-    concept, label, in that order, so passing one source for all of them is
-    the shared-randomization compatibility mode; the default contract is
-    disjoint substreams. They are drawn for the whole stream at once, right
-    after it is inserted, which gives the same values.
+    ``tau_prime_src`` is then never drawn from; a leg that runs without its
+    source raises ValueError before the stream is inserted. With
+    ``tau_black_src`` the black leg ranks the newest concept score among all
+    of them, as ``p_conformal`` does. Each step's tau values are those of
+    drawing black, concept, label, in that order, so passing one source for
+    all of them is the shared-randomization compatibility mode; the default
+    contract is disjoint substreams. They are drawn for the whole stream at
+    once, right after it is inserted, which gives the same values.
 
     The stream goes to one ``NnCache.extend`` call, which refuses anything
     but a ``Stream`` with TypeError, inserts the two checked arrays whole
@@ -197,6 +198,10 @@ def interleave(
     for measure in (concept_measure, label_measure) if with_label else (concept_measure,):
         if measure not in NN_VARIANTS:
             raise ValueError(f"unknown conformity variant {measure!r}")
+    if tau_src is None:
+        raise ValueError("the concept leg has no tau source: tau_src is None")
+    if with_label and tau_prime_src is None:
+        raise ValueError("the label leg has no tau source: tau_prime_src is None")
     cache = NnCache()
     rows, d_same, d_other = cache.extend(stream)
     n = cache.n

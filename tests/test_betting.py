@@ -20,6 +20,7 @@ from shiftmart import (
     run_experiment,
     run_martingale,
 )
+from shiftmart import betting
 
 
 # --- single steps ------------------------------------------------------------
@@ -291,24 +292,22 @@ def test_mixture_power_validity_on_longer_prefixes():
     assert check_betting_validity("mixture-power", prefixes) < 1e-6
 
 
-def test_mutated_strategy_is_detected():
-    # doubles the newest p-value and forgets the rest: integrates to 1 from
-    # the empty prefix but fails the contract from longer prefixes
-    def mutated(ps):
-        return 2.0 * ps[-1] if len(ps) else 1.0
+def test_mutated_strategy_is_detected(monkeypatch):
+    # a Jumper whose capital grows by 2p + 1/2 a step, which integrates to
+    # 3/2 over the next p-value, fails the contract from every prefix
+    jumper_step = betting._jumper_step
 
-    assert check_betting_validity(mutated, [[]]) < 1e-12
-    rng = np.random.default_rng(3)
-    prefixes = [rng.uniform(size=rng.integers(1, 4)) for _ in range(100)]
-    assert check_betting_validity(mutated, prefixes) > 0.1
+    def mutated(shares, jump_rate, p):
+        return jumper_step(shares, jump_rate, p)[0], 2.0 * p + 0.5
+
+    rng = np.random.default_rng(0)
+    prefixes = [rng.uniform(size=rng.integers(0, 20)) for _ in range(100)]
+    assert check_betting_validity("simple-jumper", prefixes) < 1e-9
+    monkeypatch.setattr(betting, "_jumper_step", mutated)
+    assert check_betting_validity("simple-jumper", [[]]) == pytest.approx(0.5)
+    assert check_betting_validity("simple-jumper", prefixes) > 0.5
 
 
-def test_callable_validity_is_exact_for_a_degree_six_betting_function():
-    # betting on 7 u**6 integrates to 1, so the strategy is valid; 8-point
-    # Gauss-Legendre is exact to degree 15, a 2-point rule misses by 0.16
-    def sixth_power(ps):
-        return float(np.prod(7.0 * np.asarray(ps, dtype=float) ** 6))
-
-    rng = np.random.default_rng(4)
-    prefixes = [[]] + [rng.uniform(0.5, 1.0, size=k) for k in (1, 2, 3)]
-    assert check_betting_validity(sixth_power, prefixes) < 1e-10
+def test_validity_takes_strategy_tags_only():
+    with pytest.raises(ValueError, match="unknown strategy tag"):
+        check_betting_validity(lambda ps: 1.0, [[]])

@@ -767,7 +767,12 @@ def test_sweep_rejects_bad_seed_and_counts(tmp_path, capsys):
     assert main(argv + ["--workers", "1"]) == EXIT_CONFIG
     assert "seed must be an integer" in capsys.readouterr().err
     good = write_config(tmp_path, scenario_config_dict())
-    for counts in (["--seeds", "2", "--workers", "0"], ["--seeds", "0", "--workers", "1"]):
+    for counts in (
+        ["--seeds", "2", "--workers", "0"],
+        ["--seeds", "0", "--workers", "1"],
+        ["--seeds", "abc", "--workers", "1"],
+        ["--seeds", "2", "--workers", "1.5"],
+    ):
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--config", good, "--out-dir", out_dir] + counts)
         assert exit_info.value.code == EXIT_CONFIG
@@ -1107,6 +1112,26 @@ def test_run_command_reports_an_unwritable_output(tmp_path, capsys):
     assert str(occupied) in capsys.readouterr().err
     assert list(occupied.iterdir()) == []
     assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", occupied]
+
+
+@pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+def test_a_failed_replace_removes_the_temporary(tmp_path, monkeypatch, capsys, failure):
+    config_path = write_config(tmp_path, scenario_config_dict())
+    target = tmp_path / "traj.csv"
+
+    def failing_replace(src, dst):
+        assert os.path.exists(src)
+        raise failure
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    argv = ["run", "--config", config_path, "--output", str(target)]
+    if isinstance(failure, OSError):
+        assert main(argv) == EXIT_CONFIG
+        assert f"cannot write output {target}: disk full" in capsys.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_run_command_writes_through_a_symlink(tmp_path):

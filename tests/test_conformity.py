@@ -224,7 +224,7 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
     block, a new row's just before that step), or attains the new point's
     smallest distance of its kind (over the stored rows for a stored row,
     over every row before it for a row of the block), is a candidate.
-    From d = 16 on, blocks of 16 screen their own pairs too."""
+    Every screened block screens its own pairs too."""
     calls = []
     screen = NnCache._screen
 
@@ -245,7 +245,7 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
     far = rng.normal(size=(96, 8))
     far[0] *= 10
     streams["one far row (d=8)"] = far, rng.integers(0, 3, size=96)
-    for d in (16, 64):
+    for d in (2, 8, 16, 64):
         streams[f"own pairs (d={d})"] = own_pairs_stream(d)
     for context, (points, labels) in streams.items():
         calls.clear()
@@ -257,15 +257,34 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
             stored, block = needed_pairs(x, ids, start)
             missed = np.count_nonzero(stored & ~mask[:, :n0])
             assert not missed, f"{context}, block at {n0}: {missed} pairs missed"
-            # the block's own pairs are all exact unless the screen covered them
             if mask.shape[1] == x.shape[0]:
                 own_blocks += 1
                 missed = np.count_nonzero(block & ~mask[:, n0:])
                 assert not missed, f"{context}, block at {n0}: {missed} of its own pairs missed"
-        d = points.shape[1]
-        assert bool(own_blocks) == (_BLOCK * _BLOCK * d >= SCREEN_MIN_FLOATS), context
+        # every screened block covers its own pairs
+        assert own_blocks == len(calls), context
 
 
+@pytest.mark.parametrize("n, d, n_classes, bound", [(1000, 2, 2, 13_500), (1000, 8, 2, 5_000), (2000, 256, 10, 9_200)])
+def test_extend_evaluates_few_pairs_exactly(monkeypatch, n, d, n_classes, bound):
+    """The pairs ``_insert_block`` evaluates exactly, per IID stream (mean
+    of scenario seeds 0-4), stay within about 1.25 times what a screen of
+    every block's stored rows and own pairs at every d gives: 10,822 at
+    d = 2, 4,002 at d = 8 and 7,380 at d = 256. With the block's own pairs
+    all exact below b * b * d = 4096, it was 17,287 at d = 2 and 11,127 at
+    d = 8 (7,380 at d = 256)."""
+    counts = []
+    insert_block = NnCache._insert_block
+
+    def counting_insert_block(cache, n0, n, work):
+        log = insert_block(cache, n0, n, work)
+        counts.append(np.count_nonzero(work.pairs[: (n - n0) * n]))
+        return log
+
+    monkeypatch.setattr(NnCache, "_insert_block", counting_insert_block)
+    for seed in range(5):
+        NnCache().extend(generate(ScenarioConfig("iid", n, n_classes, d), RandomSource(seed, "scenario")))
+    assert sum(counts) / 5 < bound
 @pytest.mark.parametrize("d", [2, 256])
 def test_extend_allocates_no_block_sized_temporaries(d):
     """A screened ``extend`` holds the cache's arrays, one workspace of two

@@ -274,3 +274,9 @@ def test_pair_chisq_detects_dependence():
     pairs = np.column_stack([u, u])
     stat, _ = pair_chisq(pairs)
     assert stat > 1000.0
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 3), (10, 1), (2, 5, 2)])
+def test_pair_chisq_refuses_a_shape_other_than_n_by_2(shape):
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        pair_chisq(np.full(shape, 0.5))

@@ -59,8 +59,10 @@ def test_infinite_scores_are_ranked():
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         p_conformal([], 0.5)
+    with pytest.raises(ValueError, match="non-empty"):
+        p_label_conditional([], [], 0.5)
     for tau in (1.5, -0.5, True, float("nan"), None):
         with pytest.raises(ValueError, match="tau"):
             p_conformal([1.0], tau)
@@ -136,6 +138,21 @@ def test_interleave_rejects_empty_stream_and_bad_measures():
         interleave(
             make_stream([0.0], [0]), "bogus", "ratio", RandomSource(1, "a"), RandomSource(1, "b")
         )
+
+
+def test_interleave_names_a_missing_tau_source_before_inserting(monkeypatch):
+    def refused(cache, stream):
+        raise AssertionError("the stream was inserted")
+
+    monkeypatch.setattr(NnCache, "extend", refused)
+    stream = make_stream([0.0, 1.0], [0, 1])
+    src = RandomSource(1, "a")
+    for sources, name in (((src, None), "tau_prime_src"), ((None, src), "tau_src"), ((None, None), "tau_src")):
+        with pytest.raises(ValueError, match=f"no tau source: {name} is None"):
+            interleave(stream, "ratio", "ratio", *sources)
+    # without the label leg, tau_prime_src is not needed, but tau_src is
+    with pytest.raises(ValueError, match="tau_src is None"):
+        interleave(stream, "ratio", None, None, None)
 
 
 def test_interleave_records_provenance_and_lengths():
