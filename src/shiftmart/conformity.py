@@ -35,6 +35,8 @@ scores).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Observation, Stream
@@ -48,27 +50,36 @@ NN_VARIANTS = (
 
 
 # A block of b insertions into a cache of n points of dimension d screens the
-# stored rows, and with them the block's own pairs, with one matrix product
+# stored rows, and with them the block's own pairs, with matrix products
 # once b * n * d reaches this many multiply-adds; below it every pair is
 # computed exactly. Both ways commit the same formula, so the switch changes
 # no output. Timed in a warm process (numpy 2.4 with OpenBLAS 0.3.31 on a
 # 2-vCPU x86 VM), the screen broke even with the exact computation of every
 # pair near b * n * d = 1000 to 1500 for d = 2, 4000 for d = 8 and 25000
-# for d = 64 and 256, for blocks of 1 and of 16 alike. Between this value and
-# those break-evens the slower way took at most about twice as long as the
-# faster, and a block cost up to 0.15 ms (1 point) or 0.35 ms (16 points)
-# either way; at n = 512 a block of 16 took 0.34 of the time with the screen
-# for d = 2 and 0.12 for d = 256.
+# for d = 64 and 256, for blocks of 1 and of 16 alike. For blocks of 32
+# (``extend`` of 32 points after n0, median of 30, on a loaded host) it broke
+# even near 4096 for d = 2 and 8 and below the smallest block tried (n0 = 8,
+# b * n * d = 16384) for d = 64 and 256; at n0 = 512 a block of 32 took 0.42
+# of the exact time with the screen for d = 2, 0.31 for d = 8, 0.20 for
+# d = 64 and 0.11 for d = 256.
 SCREEN_MIN_FLOATS = 4096
 
-# New points inserted and screened together by ``NnCache.extend``, which
-# holds a workspace of 19 bytes per block row and cache row. Blocks of 32
-# took ``extend`` 12 to 23 % less time than blocks of 16 (n = 1000, d = 2 and
-# n = 2000, d = 64 and 256, timed alternately in one process), but raised
-# the peak resident memory of a warm process running experiments of
-# n = 1000, d = 2 by 0.3 to 0.8 MiB, with or without the workspace, while
-# blocks of 16 left it as it was.
-_BLOCK = 16
+# New points inserted and screened together by ``NnCache.extend``. Blocks of
+# 32 took ``extend`` 12 to 23 % less time than blocks of 16 (n = 1000, d = 2
+# and n = 2000, d = 64 and 256, timed alternately in one process); the
+# screen's buffers, bounded by ``_PANEL_ENTRIES``, keep their memory flat.
+_BLOCK = 32
+# Entries of a screen panel: a block of b new rows takes its product with
+# the stored rows in column panels of _PANEL_ENTRIES // b rows, so the
+# screen's buffers hold 18 bytes per entry however long the cache grows.
+# Each panel costs some 25 numpy calls and one more matrix product: 32768
+# entries took ``extend`` about 10 % less time than 16384 at n = 2000,
+# d = 256 (two panels against four). In benchmark rounds against blocks of
+# 16, a cold experiment of that shape read 5.5 % less time in the median
+# with 32768 and 3 % more with 16384, and blocks of 32 raised the peak
+# resident memory of warm processes of n = 1000, d = 2 by 0.45 to 0.97 MiB
+# in the median with either value.
+_PANEL_ENTRIES = 32768
 # _EARLIER[j, k]: row k of a block comes before row j
 _EARLIER = np.tri(_BLOCK, k=-1, dtype=bool)
 _EARLIER.flags.writeable = False
@@ -80,24 +91,30 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 class _Workspace:
     """The buffers of one ``NnCache.extend`` call, which every block views.
 
-    For blocks of up to ``rows`` new rows and a cache of up to ``n`` rows,
-    flat arrays of ``rows * n`` entries: ``pairs``, the block's pairs that
-    need an exact distance, owned by ``_insert_block``; ``same`` and
-    ``differ``, the screen's label masks; ``lo`` and ``threshold``, the
-    screen's product and its masked minima and thresholds, which after the
-    screen hold the differences of the exact pairs when they fit. And
-    ``squares``, the stored rows' squared minima of each kind and the new
-    rows' stand-ins for them. So a block allocates no array of its size
-    times the cache's.
+    For blocks of up to ``rows`` new rows: ``pairs``, a ``rows`` x n mask of
+    the block's pairs that need an exact distance, owned by
+    ``_insert_block``; and for the screen, which takes the cache in column
+    panels of up to ``width`` rows, ``lo`` and ``threshold``, its product
+    and its masked minima and thresholds, and ``same`` and ``differ``, its
+    label masks, each of ``rows * width`` entries; ``squares``, a panel's
+    squared minima of each kind and the new rows' stand-ins for them; ``h``
+    and ``part``, each new row's h of each kind and its minimum over one
+    panel. ``lo`` and ``threshold`` hold at least one row of the cache, and
+    after the screen they hold the differences of the exact pairs, a chunk
+    at a time. So only ``pairs`` grows with the cache.
     """
 
-    def __init__(self, rows: int, n: int):
-        size = rows * n
-        floats = np.empty(2 * size + 2 * n)
+    def __init__(self, rows: int, n: int, d: int):
+        # every panel, the last holding the block's own columns, fits
+        self.width = width = min(n, max(_PANEL_ENTRIES // rows, rows))
+        size = max(rows * width, d)
+        floats = np.empty(2 * size + 2 * width + 4 * rows)
         self.lo, self.threshold = floats[:size], floats[size : 2 * size]
-        self.squares = floats[2 * size :].reshape(2, n)
-        flags = np.empty(3 * size, dtype=bool)
-        self.pairs, self.same, self.differ = flags[:size], flags[size : 2 * size], flags[2 * size :]
+        self.squares = floats[2 * size : 2 * size + 2 * width].reshape(2, width)
+        self.h, self.part = floats[2 * size + 2 * width :].reshape(2, 2, rows)
+        flags = np.empty(rows * n + 2 * rows * width, dtype=bool)
+        self.pairs = flags[: rows * n]
+        self.same, self.differ = flags[rows * n :].reshape(2, rows * width)
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -122,16 +139,17 @@ class NnCache:
     step changed; ``insert`` is a stream of one. Small blocks and caches
     evaluate the formula on every pair of a new point and an earlier one.
     Once a block's product with the stored rows reaches
-    ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix product screens
-    the stored rows against the whole block with an approximate squared
+    ``SCREEN_MIN_FLOATS`` multiply-adds, its matrix products with the
+    stored rows, in column panels of ``_PANEL_ENTRIES`` entries, screen the
+    stored rows against the whole block with an approximate squared
     distance and a rigorous bound on its error, and the formula is
-    evaluated only on the few pairs that could change a minimum; the same
-    product screens the block's own pairs (see ``_screen``). The arrays of
-    a block's size times the cache's are views of one workspace per
+    evaluated only on the few pairs that could change a minimum; the last
+    panel screens the block's own pairs (see ``_screen``). The screen's
+    buffers and the block's pair mask are views of one workspace per
     ``extend`` call.
     On a 2000-point IID stream with d = 256 and 10 classes (numpy 2.4 with
-    OpenBLAS 0.3.31 on a 2-vCPU x86 VM), ``extend`` took 0.05 to 0.07 s in
-    a warm process and one ``insert`` per point 0.48 to 0.58 s. Labels are
+    OpenBLAS 0.3.31 on a loaded 2-vCPU x86 VM), ``extend`` took 0.06 to
+    0.10 s in a warm process and one ``insert`` per point 0.6 to 0.9 s. Labels are
     stored as dense class ids, so memory does not depend on the label
     values. ``labels``, ``d_same`` and ``d_other`` make a read-only view of
     the storage on each read. The cache is single-owner and mutable.
@@ -198,7 +216,7 @@ class NnCache:
         when the object dimension does not match the cache (the first
         insertion fixes the dimension). A stream of one pays the checks of a
         stream and a block's fixed cost on every point; for a stream,
-        ``extend`` is about 8x faster (see the class docstring).
+        ``extend`` is about 8 to 10x faster (see the class docstring).
         """
         self.extend(Stream(obs.x[None], np.array([obs.y])))
 
@@ -246,7 +264,7 @@ class NnCache:
         # einsum, like vdot and unlike @, does not warn when a norm overflows
         # to inf, which only makes pairs candidates (see the screen)
         np.einsum("ij,ij->i", new, new, out=self._norms[n0:n])
-        work = _Workspace(min(len(stream), _BLOCK), n)
+        work = _Workspace(min(len(stream), _BLOCK), n, new.shape[1])
         blocks = [self._insert_block(i, min(i + _BLOCK, n), work) for i in range(n0, n, _BLOCK)]
         # the log's pieces and the whole log are held at once below
         del work
@@ -261,10 +279,10 @@ class NnCache:
 
         The rows, class ids and squared norms are already written. The pairs
         (j, i) of row n0 + j and every row i before it that need an exact
-        distance are found, and their distances are computed in one call,
-        through ``work.lo`` and ``work.threshold`` when their differences
-        fit. While the block's product with the rows before it stays below
-        ``SCREEN_MIN_FLOATS`` multiply-adds, every pair is exact. From there
+        distance are found, and their differences go through ``work.lo``
+        and ``work.threshold`` a chunk of pairs at a time. While the block's
+        product with the rows before it stays below ``SCREEN_MIN_FLOATS``
+        multiply-adds, every pair is exact. From there
         on, every pair passes ``_screen``, both those with the rows before
         n0 and those with an earlier row of the same block. Observations are
         finite, so a distance is finite or +inf and never NaN; a finite
@@ -296,19 +314,21 @@ class NnCache:
         pairs[:, n0:] &= _EARLIER[:b, :b]
         steps, rows = np.divmod(np.flatnonzero(pairs), n)
         points = n0 + steps
+        # the pairs' differences go through the workspace, a chunk at a time;
+        # "clip" writes out without a copy, and the indices are in range
+        dist = np.empty(rows.size)
+        chunk = work.lo.size // d
         with np.errstate(over="ignore"):
-            if rows.size * d <= work.lo.size:
-                # as in every screened block of a long stream; "clip" writes
-                # out without a copy, and the indices are in range
-                diff = work.lo[: rows.size * d].reshape(rows.size, d)
-                other = work.threshold[: rows.size * d].reshape(rows.size, d)
-                np.take(x, rows, axis=0, out=diff, mode="clip")
-                np.take(x, points, axis=0, out=other, mode="clip")
+            for start in range(0, rows.size, chunk):
+                end = min(start + chunk, rows.size)
+                diff = work.lo[: (end - start) * d].reshape(-1, d)
+                other = work.threshold[: diff.size].reshape(-1, d)
+                np.take(x, rows[start:end], axis=0, out=diff, mode="clip")
+                np.take(x, points[start:end], axis=0, out=other, mode="clip")
                 diff -= other
-            else:
-                diff = x[rows] - x[points]
-            diff *= diff
-            dist = np.sqrt(diff.sum(axis=1))
+                diff *= diff
+                np.add.reduce(diff, axis=1, out=dist[start:end])
+            np.sqrt(dist, out=dist)
         # 0 where the labels match, 1 where they differ: the row of _nearest.
         # Flat indices take a faster path in numpy than pairs of indices.
         kind = self._labels[rows] != self._labels[points]
@@ -350,7 +370,7 @@ class NnCache:
         and with the points before them in the block (``out`` has n columns).
 
         Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
-        and t_j = ||x_j||**2, one product of the block with the rows before
+        and t_j = ||x_j||**2, the product of the block with the rows before
         n gives a_ji = s_i - 2 X_i.x_j + t_j, an approximation of the squared
         distance D_ji = ||X_i - x_j||**2.
 
@@ -416,56 +436,95 @@ class NnCache:
         ``lo > max(h_i, h_j)``; the pairs with i >= j are dropped by the
         caller.
 
-        Every array of the block's size times the cache's is a view of
-        ``work``. The mask of each kind keeps lo where the kind matches and
-        puts +inf elsewhere through ``fmax`` with ``0 * inf`` (NaN, which
-        ``fmax`` ignores) or ``1 * inf``, so that no pass branches on each
-        entry, as ``np.where`` would.
+        Panels. The product is taken with the rows before n in column
+        panels of up to ``work.width`` rows, the last of which holds the
+        block's own columns. Each new point's h of each kind is carried
+        across the stored panels as ``min(h, part + 2E)``, with part the
+        smallest lo of that kind in the panel; rounding is monotone, so
+        after the last stored panel this is h bit for bit. A panel's pairs
+        are screened against h as it stands after that panel, a partial
+        h' >= h, which only adds candidates; the candidates of the panels
+        before the last are then screened again against the final h, so the
+        candidates are those of one panel of every column. The block's own
+        pairs, in the last panel, are screened against the final h.
+
+        Every array of a panel's size is a view of ``work``. The mask of
+        each kind keeps lo where the kind matches and puts +inf elsewhere
+        through ``fmax`` with ``0 * inf`` (NaN, which ``fmax`` ignores) or
+        ``1 * inf``, so that no pass branches on each entry, as
+        ``np.where`` would.
         """
         b = out.shape[0]
         x = self._x
-        s = self._norms[:n]
-        t = self._norms[n0:n, None]
-        lo = work.lo[: b * n].reshape(b, n)
-        threshold = work.threshold[: b * n].reshape(b, n)
-        same = work.same[: b * n].reshape(b, n)
-        differ = work.differ[: b * n].reshape(b, n)
-        squares = work.squares
-        np.equal(self._labels[:n], self._labels[n0:n, None], out=same)
-        np.logical_not(same, out=differ)
+        labels = self._labels
+        width = work.width
+        h, part = work.h[:, :b], work.part[:, :b]
+        h_same, h_other = h[0, :, None], h[1, :, None]
+        h[:] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            err = 8.0 * (x.shape[1] + 4) * (2.0 * _UNIT_ROUNDOFF * s.max() + _SMALLEST_SUBNORMAL)
-            # lo = (-2 X_i.x_j + s_i) + (t_j - E)
-            np.matmul(-2.0 * x[n0:n], x[:n].T, out=lo)
-            lo += s
-            lo += t - err
-            # h[k, j]: h_j of kind k (same, other) over the stored rows; a
-            # new point stands in for m**2 with its own h of each kind
-            h = squares[:, n0:n]
-            for k, elsewhere in enumerate((differ, same)):
-                np.copyto(threshold, elsewhere)
-                threshold *= np.inf
-                np.fmax(lo, threshold, out=threshold)
-                threshold[:, :n0].min(axis=1, out=h[k])
-            h += 2.0 * err
-            h_same, h_other = h[0, :, None], h[1, :, None]
-            minima = self._nearest[:, :n0]
-            np.multiply(minima, minima, out=squares[:, :n0])
-            # skip where lo > max(m**2, h) of the pair's kind
-            np.maximum(squares[1, :n], h_other, out=threshold)
-            np.greater(lo, threshold, out=out)
-            out &= differ
-            np.maximum(squares[0, :n], h_same, out=threshold)
-            # differ is free now
-            np.greater(lo, threshold, out=differ)
-            differ &= same
-            out |= differ
-            np.logical_not(out, out=out)
+            err = 8.0 * (x.shape[1] + 4) * (2.0 * _UNIT_ROUNDOFF * self._norms[:n].max() + _SMALLEST_SUBNORMAL)
+            doubled = -2.0 * x[n0:n]
+            # t_j - E
+            shift = self._norms[n0:n, None] - err
+            # the candidates of each panel before the last, with lo and labels
+            early = []
+            # panels end at n, each the full width but the first
+            for end in range(n - (n - 1) // width * width, n + 1, width):
+                start = max(0, end - width)
+                # columns start..stored-1 are stored rows; the rest, in the last
+                # panel only, the block's own
+                stored = min(end, n0) - start
+                size = b * (end - start)
+                lo = work.lo[:size].reshape(b, -1)
+                threshold = work.threshold[:size].reshape(b, -1)
+                same = work.same[:size].reshape(b, -1)
+                differ = work.differ[:size].reshape(b, -1)
+                squares = work.squares[:, : end - start]
+                mask = out[:, start:end]
+                np.equal(labels[start:end], labels[n0:n, None], out=same)
+                np.logical_not(same, out=differ)
+                # lo = (-2 X_i.x_j + s_i) + (t_j - E)
+                np.matmul(doubled, x[start:end].T, out=lo)
+                lo += self._norms[start:end]
+                lo += shift
+                if stored:
+                    for k, elsewhere in enumerate((differ, same)):
+                        np.copyto(threshold, elsewhere)
+                        threshold *= np.inf
+                        np.fmax(lo, threshold, out=threshold)
+                        threshold[:, :stored].min(axis=1, out=part[k])
+                    part += 2.0 * err
+                    np.minimum(h, part, out=h)
+                    minima = self._nearest[:, start : start + stored]
+                    np.multiply(minima, minima, out=squares[:, :stored])
+                if end == n:
+                    # a new point stands in for m**2 with its own h of each kind
+                    squares[:, stored:] = h
+                # skip where lo > max(m**2, h) of the pair's kind
+                np.maximum(squares[1], h_other, out=threshold)
+                np.greater(lo, threshold, out=mask)
+                mask &= differ
+                np.maximum(squares[0], h_same, out=threshold)
+                # differ is free now
+                np.greater(lo, threshold, out=differ)
+                differ &= same
+                mask |= differ
+                np.logical_not(mask, out=mask)
+                if end < n:
+                    steps, columns = np.nonzero(mask)
+                    early.append((steps, start + columns, lo[steps, columns], same[steps, columns]))
+            if early:
+                # screen the earlier panels' candidates again, against the final h
+                steps, columns, approx, alike = map(np.concatenate, zip(*early))
+                kind = (~alike).view(np.int8)
+                minima = self._nearest[kind, columns]
+                skip = approx > np.maximum(minima * minima, h[kind, steps])
+                out[steps[skip], columns[skip]] = False
 
 
 def _extended_ratio(num, den: np.ndarray) -> np.ndarray:
     """Elementwise num/den under the module's extended-real conventions."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.divide(num, den, out=np.empty_like(den))
     # 0/0 and inf/inf come out as NaN; both map to 1 by convention.
     out[np.isnan(out)] = 1.0
@@ -504,29 +563,119 @@ def score_nn(variant: str, cache: NnCache) -> np.ndarray:
     return nn_scores(variant, cache.d_same, cache.d_other)
 
 
+# every finite double is an integer number of units of 2**-1074
+_UNITS_PER_ONE = 2**1074
+
+
+def _units(x: float) -> int:
+    """A finite double as an exact integer number of units of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _rounded(units: int) -> float:
+    """The double nearest ``units`` units of 2**-1074, ties to even: int /
+    int true division rounds correctly. Past the largest double, +-inf."""
+    try:
+        return units / _UNITS_PER_ONE
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
+
+
+def _class_sum(scores: list[float], cap: int) -> float:
+    """The correctly rounded sum of ``scores``, each one that is not finite
+    counted as ``cap`` units. ``math.fsum`` rounds correctly too, and it
+    returns a finite sum only when every score and every partial sum is."""
+    try:
+        total = math.fsum(scores)
+    except (OverflowError, ValueError):
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    return _rounded(sum(_units(s) if math.isfinite(s) else cap for s in scores))
+
+
 def class_means(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Mean score and size of each label class, indexed by label.
 
-    Infinite inputs are first clamped to twice the largest finite score (to
-    1.0 when no finite score exists) so the means stay finite; this is
-    rank-affecting only in degenerate prefixes. A label below the largest one
-    that does not occur has count 0 and mean 0. Memory grows with the
-    largest label, so pass dense class ids such as ``NnCache.labels``.
+    A class's mean is the correctly rounded sum of its scores divided by its
+    size, so it depends on the class's scores as a bag, in any order. A score
+    that is not finite counts as twice the largest finite score (as 1.0 when
+    no finite score exists), exactly; this is rank-affecting only in
+    degenerate prefixes. A sum past the largest double is +inf. A label below
+    the largest one that does not occur has count 0 and mean 0. Memory grows
+    with the largest label, so pass dense class ids such as
+    ``NnCache.labels``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
-    sums = np.bincount(labels, weights=scores)
-    # a class sum is finite only if its scores are; an overflowing sum of
-    # finite scores takes this branch too and recomputes the same sums
-    if not np.isfinite(sums).all():
-        finite = np.isfinite(scores)
-        cap = 2.0 * scores[finite].max() if finite.any() else 1.0
-        sums = np.bincount(labels, weights=np.where(finite, scores, cap))
     counts = np.bincount(labels)
+    finite = scores[np.isfinite(scores)]
+    cap = 2 * _units(float(finite.max())) if finite.size else _units(1.0)
+    ends = np.cumsum(counts).tolist()
+    by_class = scores[np.argsort(labels)].tolist()
+    sums = [_class_sum(by_class[end - count : end], cap) for end, count in zip(ends, counts.tolist())]
     # a label that does not occur has sum 0 and so mean 0
-    return sums / np.maximum(counts, 1), counts
+    return np.array(sums) / np.maximum(counts, 1), counts
+
+
+class ClassMeans:
+    """The means of ``class_means`` for a prefix whose scores change in place.
+
+    Each class keeps the exact sum of its finite scores as an integer number
+    of units of 2**-1074, the count of its scores that are not finite, and
+    its size; ``add`` and ``move`` update only the class of the row they
+    name, from that row's score before and after. ``current`` re-divides
+    only the classes whose sum moved: the correctly rounded sum, then the
+    same IEEE division as ``class_means``, so the means are its means bit
+    for bit. While some class holds a score that is not finite, every such
+    class counts it as twice the largest finite score of the prefix, as
+    ``class_means`` does, and is re-divided each step.
+    """
+
+    def __init__(self):
+        self.means: list[float] = []
+        self.counts: list[int] = []
+        self._sums: list[int] = []
+        self._infinite: list[int] = []
+        self._moved: set[int] = set()
+
+    def add(self, y: int, score: float) -> None:
+        """A new row of class ``y``, the next class id or an earlier one."""
+        if y == len(self.means):
+            self.means.append(0.0)
+            self.counts.append(0)
+            self._sums.append(0)
+            self._infinite.append(0)
+        self.counts[y] += 1
+        self._change(y, score, 1)
+
+    def move(self, y: int, before: float, after: float) -> None:
+        """A row of class ``y`` whose score changed from ``before`` to ``after``."""
+        self._change(y, before, -1)
+        self._change(y, after, 1)
+
+    def _change(self, y: int, score: float, sign: int) -> None:
+        if math.isfinite(score):
+            self._sums[y] += sign * _units(score)
+        else:
+            self._infinite[y] += sign
+        self._moved.add(y)
+
+    def current(self, scores: list[float]) -> list[float]:
+        """The class means of the prefix whose scores are ``scores``."""
+        cap = 0
+        if any(self._infinite):
+            top = max(filter(math.isfinite, scores), default=0.5)
+            cap = 2 * _units(top)
+            self._moved.update(y for y, count in enumerate(self._infinite) if count)
+        for y in self._moved:
+            total = _rounded(self._sums[y] + self._infinite[y] * cap)
+            self.means[y] = total / self.counts[y]
+        self._moved.clear()
+        return self.means
 
 
 def label_average(scores, labels) -> np.ndarray:

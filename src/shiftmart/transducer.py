@@ -20,14 +20,14 @@ martingale. Adding an observation changes the nearest-neighbour scores of
 earlier observations, so every step rescores exactly the rows whose
 distances that insertion lowered, and the new row. ``NnCache.extend`` logs
 those rows for the whole stream, the log is scored with one ``nn_scores``
-call per measure, and the class means come from one ``np.bincount`` a step;
-the ranks then come from sorted score lists and class means and equal those
-of the two transducers on the full prefix, bit for bit.
+call per measure, and each class keeps an exact sum of its label-measure
+scores, updated at the rows each step changes (``ClassMeans``); the ranks
+then come from sorted score lists and class means and equal those of the
+two transducers on the full prefix, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ from itertools import repeat
 import numpy as np
 
 from .core import RandomSource, Stream, real_field
-from .conformity import NN_VARIANTS, NnCache, class_means, nn_scores
+from .conformity import NN_VARIANTS, ClassMeans, NnCache, nn_scores
 
 
 def p_conformal(scores, tau: float) -> float:
@@ -101,25 +101,9 @@ def _tau_draws(sources: Sequence[RandomSource | None], steps: int) -> list[np.nd
     return [None if src is None else next(columns[id(src)]) for src in sources]
 
 
-def _rank_class_mean(
-    scores: np.ndarray, labels: np.ndarray, by_class: list[list], y: int, tau: float
-) -> float:
-    """``p_conformal`` of class ``y``'s mean among the class-averaged ``scores``.
-
-    ``labels`` are dense class ids and ``by_class`` holds one entry per row of
-    each class, so the length of each list is the size of its class, at
-    least 1. The sums come from the ``np.bincount`` call that
-    ``class_means`` makes, and the Python ``s / c`` is the same IEEE division
-    as its ``sums / np.maximum(counts, 1)``, so the means are those of
-    ``class_means`` bit for bit. A step with a sum that is not finite takes
-    the means from ``class_means`` itself, which holds the clamp.
-    """
-    counts = list(map(len, by_class))
-    sums = np.bincount(labels, weights=scores).tolist()
-    if all(map(math.isfinite, sums)):
-        means = [s / c for s, c in zip(sums, counts)]
-    else:
-        means = class_means(scores, labels)[0].tolist()
+def _rank_class_mean(means: list[float], counts: list[int], y: int, tau: float) -> float:
+    """``p_conformal`` of class ``y``'s mean among the class-averaged scores
+    of a prefix whose classes have these means and sizes."""
     mean = means[y]
     less = equal = 0
     for m, c in zip(means, counts):
@@ -127,7 +111,7 @@ def _rank_class_mean(
             less += c
         elif m == mean:
             equal += c
-    return (less + tau * equal) / len(labels)
+    return (less + tau * equal) / sum(counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +170,10 @@ def interleave(
     equal to it is the step's new row. The concept scores are kept in one
     sorted list per class (and one over all rows for the black leg), so a
     rank is two bisections. The label leg ranks the newest class mean among
-    the class means: the class sizes are the lengths of the per-class lists,
-    the sums come from one ``np.bincount`` over the label-measure scores of
-    the prefix, and the means are those of ``class_means`` (see
-    ``_rank_class_mean``). The counts are the exact integers the transducers
+    the class means, which a ``ClassMeans`` keeps: a row's label-measure
+    score moves only its class's exact sum, only the classes whose sum moved
+    are re-divided, and the means are those of ``class_means`` on the prefix
+    bit for bit. The counts are the exact integers the transducers
     count, and scores are never NaN, so the p-values are bit-identical to the
     transducers on the full prefix.
     """
@@ -215,17 +199,15 @@ def interleave(
         nn_scores(concept_measure, d_same, d_other).tolist(),
         nn_scores(label_measure, d_same, d_other).tolist() if with_label else repeat(None),
     )
-    labels = cache.labels
     # the class id and concept score of each row, and the label-measure scores
-    row_class = labels.tolist()
+    row_class = cache.labels.tolist()
     concept_scores: list[float] = []
-    label_scores = np.empty(n) if with_label else None
+    label_scores: list[float] = []
+    label_means = ClassMeans()
     # the concept scores of each class id, and of all rows, in sorted lists
     by_class: list[list[float]] = []
     overall: list[float] = []
     for i, score, label_score in log:
-        if with_label:
-            label_scores[i] = label_score
         k = len(concept_scores)
         if i < k:
             # a stored row whose minima step k lowered
@@ -235,6 +217,11 @@ def interleave(
                 _move(by_class[row_class[i]], before, score)
                 if with_black:
                     _move(overall, before, score)
+            if with_label:
+                before = label_scores[i]
+                if before != label_score:
+                    label_scores[i] = label_score
+                    label_means.move(row_class[i], before, label_score)
             continue
         # row k itself, the last row of step k
         y = row_class[k]
@@ -248,8 +235,9 @@ def interleave(
             p_black[k] = _rank(overall, score, tau_black[k])
         p_concept[k] = _rank(by_class[y], score, tau[k])
         if with_label:
-            p_label[k] = _rank_class_mean(
-                label_scores[: k + 1], labels[: k + 1], by_class, y, tau_prime[k]
-            )
+            label_scores.append(label_score)
+            label_means.add(y, label_score)
+            means = label_means.current(label_scores)
+            p_label[k] = _rank_class_mean(means, label_means.counts, y, tau_prime[k])
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

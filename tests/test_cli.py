@@ -367,6 +367,24 @@ def source_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
+def test_run_of_a_usps_file_with_an_overflowing_score_prints_no_warning(tmp_path):
+    # d_same of the first two rows is about 1e-160, whose square underflows
+    # to a subnormal, so d_other / d_same**2 overflows to +inf
+    def row(label, first):
+        return " ".join([str(label), repr(first)] + ["0"] * 255)
+
+    train, test = tmp_path / "zip.train", tmp_path / "zip.test"
+    train.write_text(row(0, 0.0) + "\n" + row(0, 1e-160) + "\n")
+    test.write_text(row(1, 0.5) + "\n" + row(1, -0.5) + "\n")
+    raw = scenario_config_dict(concept_measure="ratio-squared-denominator", output=str(tmp_path / "out.csv"))
+    raw["data"] = {"kind": "usps", "train_path": str(train), "test_path": str(test)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    command = [sys.executable, "-m", "shiftmart", "run", "--config", str(config)]
+    result = subprocess.run(command, env=source_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "traj.csv"
     raw = scenario_config_dict(output=str(out))
@@ -406,6 +424,20 @@ def test_run_usps_script_runs_and_maps_errors_to_exit_codes(tmp_path, usps_files
     result = run_script("run_usps.py", tmp_path / "missing", usps_files[1])
     assert (result.returncode, result.stdout) == (EXIT_DATA, "")
     assert result.stderr.startswith(f"data error: cannot open {tmp_path / 'missing'}")
+
+
+def test_ab_time_script_times_two_trees_and_maps_errors_to_exit_codes(tmp_path):
+    root = SCRIPTS.parent
+    result = run_script("ab_time.py", root, root, "--shape", "40,2,2", "--rounds", 1)
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[::3]] == ["extend_s", "replay_s", "experiment_s"]
+    assert all(line.endswith("of 1 rounds") for line in lines[2::3])
+    result = run_script("ab_time.py", root, root, "--shape", "40,2")
+    assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+    result = run_script("ab_time.py", tmp_path, root, "--shape", "40,2,2")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith(f"error: no src/shiftmart under {tmp_path}")
 
 
 def test_calibration_script_runs_and_maps_errors_to_exit_codes():

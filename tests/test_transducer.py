@@ -9,6 +9,7 @@ from shiftmart import (
     NN_VARIANTS,
     NnCache,
     RandomSource,
+    class_means,
     ScenarioConfig,
     Stream,
     generate,
@@ -18,6 +19,7 @@ from shiftmart import (
     p_label_conditional,
     score_nn,
 )
+from shiftmart import transducer
 from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS
 
 from oracles import p_conformal_recount, p_label_conditional_recount
@@ -256,6 +258,44 @@ def test_interleave_matches_the_per_step_transducers(case):
                         assert np.array_equal(result.p_black, p_black), context
                     else:
                         assert result.p_black is None, context
+
+
+@pytest.mark.parametrize("case", list(_exactness_streams()), ids=lambda case: case[0])
+def test_interleave_ranks_the_class_means_of_the_prefix(monkeypatch, case):
+    """At every step, the class means that ``interleave`` ranks are those of
+    ``class_means`` on the label-measure scores of the prefix, bit for bit."""
+    name, points, labels = case
+    stream = make_stream(points, labels)
+    ranked = []
+    rank = transducer._rank_class_mean
+
+    def recording_rank(means, counts, y, tau):
+        ranked.append((list(means), list(counts)))
+        return rank(means, counts, y, tau)
+
+    monkeypatch.setattr(transducer, "_rank_class_mean", recording_rank)
+    for label in NN_VARIANTS:
+        ranked.clear()
+        interleave(stream, "same-class", label, *_sources(5, False, False))
+        cache = NnCache()
+        for k, obs in enumerate(stream):
+            cache.insert(obs)
+            means, counts = class_means(score_nn(label, cache), cache.labels)
+            assert ranked[k][0] == means.tolist(), f"{name}: {label}, step {k}"
+            assert ranked[k][1] == counts.tolist(), f"{name}: {label}, step {k}"
+
+
+def test_interleave_ranks_a_class_sum_past_the_largest_double_without_a_warning():
+    # the ratio scores of class 0 are about 1e308 each, so its sum overflows;
+    # the clamp used to double 1e308 and warn
+    stream = make_stream([[0.0], [1e-160], [1e148], [2e148]], [0, 0, 1, 1])
+    steps = list(_reference_steps(stream))
+    result = interleave(stream, "same-class", "ratio", *_sources(3, False, True))
+    p_black, p_concept, p_label = _reference_pvalues(
+        steps, "same-class", "ratio", *_sources(3, False, True)
+    )
+    assert np.array_equal(result.p_label, p_label)
+    assert np.array_equal(result.p_concept, p_concept)
 
 
 def _batch_edge_streams():
