@@ -50,7 +50,7 @@ NN_VARIANTS = (
 
 
 # A block of b insertions into a cache of n points of dimension d screens the
-# stored rows, and with them the block's own pairs, with matrix products
+# stored rows, and with them the block's own pairs, with one matrix product
 # once b * n * d reaches this many multiply-adds; below it every pair is
 # computed exactly. Both ways commit the same formula, so the switch changes
 # no output. Timed in a warm process (numpy 2.4 with OpenBLAS 0.3.31 on a
@@ -64,22 +64,17 @@ NN_VARIANTS = (
 # d = 64 and 0.11 for d = 256.
 SCREEN_MIN_FLOATS = 4096
 
-# New points inserted and screened together by ``NnCache.extend``. Blocks of
-# 32 took ``extend`` 12 to 23 % less time than blocks of 16 (n = 1000, d = 2
-# and n = 2000, d = 64 and 256, timed alternately in one process); the
-# screen's buffers, bounded by ``_PANEL_ENTRIES``, keep their memory flat.
+# New points inserted and screened together by ``NnCache.extend``, which
+# holds a workspace of 19 bytes per block row and cache row. Blocks of 32
+# took ``extend`` 12 to 23 % less time than blocks of 16 (n = 1000, d = 2
+# and n = 2000, d = 64 and 256, timed alternately in one process). In
+# benchmark pairs against blocks of 16 they lowered the peak resident
+# memory of one cold experiment of n = 2000, d = 256 by 0.48 MiB and raised
+# that of a warm process running experiments of n = 1000, d = 2 by 1.2 MiB
+# (0.3 MiB of it the workspace). Screening the stored rows in column panels
+# of a fixed number of entries, so that the screen's buffers did not grow
+# with the cache, raised it by 0.5 to 1 MiB too and made the screen slower.
 _BLOCK = 32
-# Entries of a screen panel: a block of b new rows takes its product with
-# the stored rows in column panels of _PANEL_ENTRIES // b rows, so the
-# screen's buffers hold 18 bytes per entry however long the cache grows.
-# Each panel costs some 25 numpy calls and one more matrix product: 32768
-# entries took ``extend`` about 10 % less time than 16384 at n = 2000,
-# d = 256 (two panels against four). In benchmark rounds against blocks of
-# 16, a cold experiment of that shape read 5.5 % less time in the median
-# with 32768 and 3 % more with 16384, and blocks of 32 raised the peak
-# resident memory of warm processes of n = 1000, d = 2 by 0.45 to 0.97 MiB
-# in the median with either value.
-_PANEL_ENTRIES = 32768
 # _EARLIER[j, k]: row k of a block comes before row j
 _EARLIER = np.tri(_BLOCK, k=-1, dtype=bool)
 _EARLIER.flags.writeable = False
@@ -91,30 +86,27 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 class _Workspace:
     """The buffers of one ``NnCache.extend`` call, which every block views.
 
-    For blocks of up to ``rows`` new rows: ``pairs``, a ``rows`` x n mask of
-    the block's pairs that need an exact distance, owned by
-    ``_insert_block``; and for the screen, which takes the cache in column
-    panels of up to ``width`` rows, ``lo`` and ``threshold``, its product
-    and its masked minima and thresholds, and ``same`` and ``differ``, its
-    label masks, each of ``rows * width`` entries; ``squares``, a panel's
-    squared minima of each kind and the new rows' stand-ins for them; ``h``
-    and ``part``, each new row's h of each kind and its minimum over one
-    panel. ``lo`` and ``threshold`` hold at least one row of the cache, and
-    after the screen they hold the differences of the exact pairs, a chunk
-    at a time. So only ``pairs`` grows with the cache.
+    For blocks of up to ``rows`` new rows and a cache of up to ``n`` rows,
+    flat arrays of ``rows * n`` entries: ``pairs``, the block's pairs that
+    need an exact distance, owned by ``_insert_block``; ``same`` and
+    ``differ``, the screen's label masks; ``lo`` and ``threshold``, the
+    screen's product and its masked minima and thresholds, which after the
+    screen hold the differences of the exact pairs, a chunk at a time. And
+    ``squares``, the stored rows' squared minima of each kind and the new
+    rows' stand-ins for them. So a block allocates no array of its size
+    times the cache's.
     """
 
     def __init__(self, rows: int, n: int, d: int):
-        # every panel, the last holding the block's own columns, fits
-        self.width = width = min(n, max(_PANEL_ENTRIES // rows, rows))
-        size = max(rows * width, d)
-        floats = np.empty(2 * size + 2 * width + 4 * rows)
-        self.lo, self.threshold = floats[:size], floats[size : 2 * size]
-        self.squares = floats[2 * size : 2 * size + 2 * width].reshape(2, width)
-        self.h, self.part = floats[2 * size + 2 * width :].reshape(2, 2, rows)
-        flags = np.empty(rows * n + 2 * rows * width, dtype=bool)
-        self.pairs = flags[: rows * n]
-        self.same, self.differ = flags[rows * n :].reshape(2, rows * width)
+        size = rows * n
+        # a chunk of lo holds every pair of a block of one point that is not
+        # screened: fewer than n and than SCREEN_MIN_FLOATS / d
+        chunk = max(size, d * min(n, max(1, SCREEN_MIN_FLOATS // d)))
+        floats = np.empty(2 * chunk + 2 * n)
+        self.lo, self.threshold = floats[:chunk], floats[chunk : 2 * chunk]
+        self.squares = floats[2 * chunk :].reshape(2, n)
+        flags = np.empty(3 * size, dtype=bool)
+        self.pairs, self.same, self.differ = flags[:size], flags[size : 2 * size], flags[2 * size :]
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -139,17 +131,16 @@ class NnCache:
     step changed; ``insert`` is a stream of one. Small blocks and caches
     evaluate the formula on every pair of a new point and an earlier one.
     Once a block's product with the stored rows reaches
-    ``SCREEN_MIN_FLOATS`` multiply-adds, its matrix products with the
-    stored rows, in column panels of ``_PANEL_ENTRIES`` entries, screen the
-    stored rows against the whole block with an approximate squared
+    ``SCREEN_MIN_FLOATS`` multiply-adds, that one matrix product screens
+    the stored rows against the whole block with an approximate squared
     distance and a rigorous bound on its error, and the formula is
-    evaluated only on the few pairs that could change a minimum; the last
-    panel screens the block's own pairs (see ``_screen``). The screen's
-    buffers and the block's pair mask are views of one workspace per
+    evaluated only on the few pairs that could change a minimum; the same
+    product screens the block's own pairs (see ``_screen``). The arrays of
+    a block's size times the cache's are views of one workspace per
     ``extend`` call.
     On a 2000-point IID stream with d = 256 and 10 classes (numpy 2.4 with
-    OpenBLAS 0.3.31 on a loaded 2-vCPU x86 VM), ``extend`` took 0.06 to
-    0.10 s in a warm process and one ``insert`` per point 0.6 to 0.9 s. Labels are
+    OpenBLAS 0.3.31 on a shared 2-vCPU x86 VM), ``extend`` took about
+    0.06 s in a warm process and one ``insert`` per point 0.5 to 0.8 s. Labels are
     stored as dense class ids, so memory does not depend on the label
     values. ``labels``, ``d_same`` and ``d_other`` make a read-only view of
     the storage on each read. The cache is single-owner and mutable.
@@ -216,7 +207,7 @@ class NnCache:
         when the object dimension does not match the cache (the first
         insertion fixes the dimension). A stream of one pays the checks of a
         stream and a block's fixed cost on every point; for a stream,
-        ``extend`` is about 8 to 10x faster (see the class docstring).
+        ``extend`` is about 8 to 12x faster (see the class docstring).
         """
         self.extend(Stream(obs.x[None], np.array([obs.y])))
 
@@ -370,7 +361,7 @@ class NnCache:
         and with the points before them in the block (``out`` has n columns).
 
         Screen. With s_i = ||X_i||**2, computed once when row i is inserted,
-        and t_j = ||x_j||**2, the product of the block with the rows before
+        and t_j = ||x_j||**2, one product of the block with the rows before
         n gives a_ji = s_i - 2 X_i.x_j + t_j, an approximation of the squared
         distance D_ji = ||X_i - x_j||**2.
 
@@ -436,90 +427,51 @@ class NnCache:
         ``lo > max(h_i, h_j)``; the pairs with i >= j are dropped by the
         caller.
 
-        Panels. The product is taken with the rows before n in column
-        panels of up to ``work.width`` rows, the last of which holds the
-        block's own columns. Each new point's h of each kind is carried
-        across the stored panels as ``min(h, part + 2E)``, with part the
-        smallest lo of that kind in the panel; rounding is monotone, so
-        after the last stored panel this is h bit for bit. A panel's pairs
-        are screened against h as it stands after that panel, a partial
-        h' >= h, which only adds candidates; the candidates of the panels
-        before the last are then screened again against the final h, so the
-        candidates are those of one panel of every column. The block's own
-        pairs, in the last panel, are screened against the final h.
-
-        Every array of a panel's size is a view of ``work``. The mask of
-        each kind keeps lo where the kind matches and puts +inf elsewhere
-        through ``fmax`` with ``0 * inf`` (NaN, which ``fmax`` ignores) or
-        ``1 * inf``, so that no pass branches on each entry, as
-        ``np.where`` would.
+        Every array of the block's size times the cache's is a view of
+        ``work``. The mask of each kind keeps lo where the kind matches and
+        puts +inf elsewhere through ``fmax`` with ``0 * inf`` (NaN, which
+        ``fmax`` ignores) or ``1 * inf``, so that no pass branches on each
+        entry, as ``np.where`` would.
         """
         b = out.shape[0]
         x = self._x
-        labels = self._labels
-        width = work.width
-        h, part = work.h[:, :b], work.part[:, :b]
-        h_same, h_other = h[0, :, None], h[1, :, None]
-        h[:] = np.inf
+        s = self._norms[:n]
+        t = self._norms[n0:n, None]
+        lo = work.lo[: b * n].reshape(b, n)
+        threshold = work.threshold[: b * n].reshape(b, n)
+        same = work.same[: b * n].reshape(b, n)
+        differ = work.differ[: b * n].reshape(b, n)
+        squares = work.squares
+        np.equal(self._labels[:n], self._labels[n0:n, None], out=same)
+        np.logical_not(same, out=differ)
         with np.errstate(over="ignore", invalid="ignore"):
-            err = 8.0 * (x.shape[1] + 4) * (2.0 * _UNIT_ROUNDOFF * self._norms[:n].max() + _SMALLEST_SUBNORMAL)
-            doubled = -2.0 * x[n0:n]
-            # t_j - E
-            shift = self._norms[n0:n, None] - err
-            # the candidates of each panel before the last, with lo and labels
-            early = []
-            # panels end at n, each the full width but the first
-            for end in range(n - (n - 1) // width * width, n + 1, width):
-                start = max(0, end - width)
-                # columns start..stored-1 are stored rows; the rest, in the last
-                # panel only, the block's own
-                stored = min(end, n0) - start
-                size = b * (end - start)
-                lo = work.lo[:size].reshape(b, -1)
-                threshold = work.threshold[:size].reshape(b, -1)
-                same = work.same[:size].reshape(b, -1)
-                differ = work.differ[:size].reshape(b, -1)
-                squares = work.squares[:, : end - start]
-                mask = out[:, start:end]
-                np.equal(labels[start:end], labels[n0:n, None], out=same)
-                np.logical_not(same, out=differ)
-                # lo = (-2 X_i.x_j + s_i) + (t_j - E)
-                np.matmul(doubled, x[start:end].T, out=lo)
-                lo += self._norms[start:end]
-                lo += shift
-                if stored:
-                    for k, elsewhere in enumerate((differ, same)):
-                        np.copyto(threshold, elsewhere)
-                        threshold *= np.inf
-                        np.fmax(lo, threshold, out=threshold)
-                        threshold[:, :stored].min(axis=1, out=part[k])
-                    part += 2.0 * err
-                    np.minimum(h, part, out=h)
-                    minima = self._nearest[:, start : start + stored]
-                    np.multiply(minima, minima, out=squares[:, :stored])
-                if end == n:
-                    # a new point stands in for m**2 with its own h of each kind
-                    squares[:, stored:] = h
-                # skip where lo > max(m**2, h) of the pair's kind
-                np.maximum(squares[1], h_other, out=threshold)
-                np.greater(lo, threshold, out=mask)
-                mask &= differ
-                np.maximum(squares[0], h_same, out=threshold)
-                # differ is free now
-                np.greater(lo, threshold, out=differ)
-                differ &= same
-                mask |= differ
-                np.logical_not(mask, out=mask)
-                if end < n:
-                    steps, columns = np.nonzero(mask)
-                    early.append((steps, start + columns, lo[steps, columns], same[steps, columns]))
-            if early:
-                # screen the earlier panels' candidates again, against the final h
-                steps, columns, approx, alike = map(np.concatenate, zip(*early))
-                kind = (~alike).view(np.int8)
-                minima = self._nearest[kind, columns]
-                skip = approx > np.maximum(minima * minima, h[kind, steps])
-                out[steps[skip], columns[skip]] = False
+            err = 8.0 * (x.shape[1] + 4) * (2.0 * _UNIT_ROUNDOFF * s.max() + _SMALLEST_SUBNORMAL)
+            # lo = (-2 X_i.x_j + s_i) + (t_j - E)
+            np.matmul(-2.0 * x[n0:n], x[:n].T, out=lo)
+            lo += s
+            lo += t - err
+            # h[k, j]: h_j of kind k (same, other) over the stored rows; a
+            # new point stands in for m**2 with its own h of each kind
+            h = squares[:, n0:n]
+            for k, elsewhere in enumerate((differ, same)):
+                np.copyto(threshold, elsewhere)
+                threshold *= np.inf
+                np.fmax(lo, threshold, out=threshold)
+                threshold[:, :n0].min(axis=1, out=h[k])
+            h += 2.0 * err
+            h_same, h_other = h[0, :, None], h[1, :, None]
+            minima = self._nearest[:, :n0]
+            np.multiply(minima, minima, out=squares[:, :n0])
+            # skip where lo > max(m**2, h) of the pair's kind
+            np.maximum(squares[1, :n], h_other, out=threshold)
+            np.greater(lo, threshold, out=out)
+            out &= differ
+            np.maximum(squares[0, :n], h_same, out=threshold)
+            # differ is free now
+            np.greater(lo, threshold, out=differ)
+            differ &= same
+            out |= differ
+            np.logical_not(out, out=out)
 
 
 def _extended_ratio(num, den: np.ndarray) -> np.ndarray:
@@ -632,7 +584,10 @@ class ClassMeans:
     same IEEE division as ``class_means``, so the means are its means bit
     for bit. While some class holds a score that is not finite, every such
     class counts it as twice the largest finite score of the prefix, as
-    ``class_means`` does, and is re-divided each step.
+    ``class_means`` does. That score is kept as the scores change and
+    searched for only after the row that held it moved down; a class that
+    holds a score that is not finite is re-divided only when it moved or
+    that score changed.
     """
 
     def __init__(self):
@@ -641,6 +596,11 @@ class ClassMeans:
         self._sums: list[int] = []
         self._infinite: list[int] = []
         self._moved: set[int] = set()
+        # the largest finite score, or -inf when there is none; while
+        # _stale, only an upper bound of it
+        self._top = -math.inf
+        self._stale = False
+        self._cap = 0
 
     def add(self, y: int, score: float) -> None:
         """A new row of class ``y``, the next class id or an earlier one."""
@@ -660,19 +620,27 @@ class ClassMeans:
     def _change(self, y: int, score: float, sign: int) -> None:
         if math.isfinite(score):
             self._sums[y] += sign * _units(score)
+            if sign < 0:
+                # another row may hold the same score
+                self._stale |= score == self._top
+            elif score >= self._top:
+                self._top, self._stale = score, False
         else:
             self._infinite[y] += sign
         self._moved.add(y)
 
     def current(self, scores: list[float]) -> list[float]:
         """The class means of the prefix whose scores are ``scores``."""
-        cap = 0
         if any(self._infinite):
-            top = max(filter(math.isfinite, scores), default=0.5)
-            cap = 2 * _units(top)
-            self._moved.update(y for y, count in enumerate(self._infinite) if count)
+            if self._stale:
+                self._top = max(filter(math.isfinite, scores), default=-math.inf)
+                self._stale = False
+            cap = 2 * _units(self._top if self._top > -math.inf else 0.5)
+            if cap != self._cap:
+                self._cap = cap
+                self._moved.update(y for y, count in enumerate(self._infinite) if count)
         for y in self._moved:
-            total = _rounded(self._sums[y] + self._infinite[y] * cap)
+            total = _rounded(self._sums[y] + self._infinite[y] * self._cap)
             self.means[y] = total / self.counts[y]
         self._moved.clear()
         return self.means

@@ -21,8 +21,7 @@ from shiftmart import (
     label_average,
     score_nn,
 )
-from shiftmart import conformity
-from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS, class_means
+from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS, ClassMeans, class_means
 
 from oracles import nn_distances_bruteforce
 from test_acceptance import _screened_streams
@@ -220,37 +219,20 @@ def needed_pairs(x, ids, start):
     return needed[:, :n0], needed[:, n0:]
 
 
-def far_first_panel_stream(d):
-    """A stream whose first ``_BLOCK`` rows, the first column panel of every
-    block when panels are ``_BLOCK`` rows wide, lie far from all later rows,
-    so that from the third block on each new row's nearest stored row of
-    each kind lies past that panel."""
-    rng = np.random.default_rng(43)
-    n = 12 * _BLOCK
-    points = rng.normal(size=(n, d))
-    points[:_BLOCK] += 1e3
-    return points, rng.integers(0, 3, size=n)
-
-
-@pytest.mark.parametrize("panel_entries", [conformity._PANEL_ENTRIES, _BLOCK * _BLOCK])
-def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch, panel_entries):
+def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch):
     """In each screened block, a pair whose exact distance is below its
     earlier row's minimum of its kind (a stored row's at the start of the
     block, a new row's just before that step), or attains the new point's
     smallest distance of its kind (over the stored rows for a stored row,
     over every row before it for a row of the block), is a candidate.
-    Every screened block screens its own pairs too. With panels of
-    ``_BLOCK`` rows, the later blocks of each stream take 4 to 12 panels,
-    and the far-first-panel streams put every nearest stored row past the
-    first panel."""
-    monkeypatch.setattr(conformity, "_PANEL_ENTRIES", panel_entries)
+    Every screened block screens its own pairs too."""
     calls = []
     screen = NnCache._screen
 
     def recording_screen(cache, n0, n, out, work):
         screen(cache, n0, n, out, work)
         calls.append((out.copy(), cache._x[:n].copy(), cache._labels[:n].copy(),
-                      cache._nearest[:, :n0].copy(), -(-n // work.width)))
+                      cache._nearest[:, :n0].copy()))
 
     monkeypatch.setattr(NnCache, "_screen", recording_screen)
     rng = np.random.default_rng(29)
@@ -266,17 +248,13 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch, panel_en
     streams["one far row (d=8)"] = far, rng.integers(0, 3, size=96)
     for d in (2, 8, 16, 64):
         streams[f"own pairs (d={d})"] = own_pairs_stream(d)
-    for d in (2, 64):
-        streams[f"far first panel (d={d})"] = far_first_panel_stream(d)
-    most_panels = 0
     for context, (points, labels) in streams.items():
         calls.clear()
         NnCache().extend(Stream(points, labels))
         assert calls, context
         own_blocks = 0
-        for mask, x, ids, start, panels in calls:
+        for mask, x, ids, start in calls:
             n0 = start.shape[1]
-            most_panels = max(most_panels, panels)
             stored, block = needed_pairs(x, ids, start)
             missed = np.count_nonzero(stored & ~mask[:, :n0])
             assert not missed, f"{context}, block at {n0}: {missed} pairs missed"
@@ -286,19 +264,16 @@ def test_screen_marks_every_pair_that_can_change_a_minimum(monkeypatch, panel_en
                 assert not missed, f"{context}, block at {n0}: {missed} of its own pairs missed"
         # every screened block covers its own pairs
         assert own_blocks == len(calls), context
-    assert most_panels >= (12 if panel_entries == _BLOCK * _BLOCK else 1)
 
 
 @pytest.mark.parametrize("n, d, n_classes, bound", [(1000, 2, 2, 6_300), (1000, 8, 2, 5_000), (2000, 256, 10, 9_200)])
 def test_extend_evaluates_few_pairs_exactly(monkeypatch, n, d, n_classes, bound):
     """The pairs ``_insert_block`` evaluates exactly, per IID stream (mean
     of scenario seeds 0-4), stay within about 1.25 times what blocks of 32
-    give, screened in panels whose candidates are screened again against
-    the final h, whatever the panel width: 5,004 at d = 2, 4,119 at d = 8
-    and 7,787 at d = 256. Blocks of 16 with every block's stored rows and
-    own pairs in one product gave 10,822, 4,002 and 7,380; with the
-    block's own pairs all exact below b * b * d = 4096, it was 17,287 at
-    d = 2 and 11,127 at d = 8."""
+    give, each screened against its stored rows and own pairs in one
+    product: 5,004 at d = 2, 4,119 at d = 8 and 7,787 at d = 256. Blocks of
+    16 gave 10,822, 4,002 and 7,380; with the block's own pairs all exact
+    below b * b * d = 4096, it was 17,287 at d = 2 and 11,127 at d = 8."""
     counts = []
     insert_block = NnCache._insert_block
 
@@ -313,14 +288,9 @@ def test_extend_evaluates_few_pairs_exactly(monkeypatch, n, d, n_classes, bound)
     assert sum(counts) / 5 < bound
 @pytest.mark.parametrize("d", [2, 256])
 def test_extend_allocates_no_block_sized_temporaries(d):
-    """A screened ``extend`` holds the cache's arrays, the log and one
-    workspace: the ``_BLOCK`` x n pair mask, and for the screen two float
-    and two bool arrays of B = ``_PANEL_ENTRIES`` entries, two float rows
-    of a panel's width B // ``_BLOCK`` and four of the block's. Each block
-    adds less than four of numpy's 8192-entry float iterator buffers and
-    its doubled rows on top. At n = 6000 this bound is 1.06 MB (d = 2) and
-    1.13 MB (d = 256) above the cache and the log; with blocks of 16 and no
-    panels it was 2.11 MB at both."""
+    """A screened ``extend`` holds the cache's arrays, one workspace of two
+    float and three bool arrays of ``_BLOCK`` x n and the log; each block
+    adds less than a quarter of one ``_BLOCK`` x n float array on top."""
     n = 6000
     rng = np.random.default_rng(d)
     stream = Stream(rng.normal(size=(n, d)), rng.integers(0, 10, size=n))
@@ -334,10 +304,8 @@ def test_extend_allocates_no_block_sized_temporaries(d):
     # the cache keeps the stream's rows, which were allocated before tracing
     assert cache._x is stream.x
     held = cache._norms.nbytes + cache._labels.nbytes + cache._nearest.nbytes
-    entries = conformity._PANEL_ENTRIES
-    width = entries // _BLOCK
-    workspace = _BLOCK * n + entries * (2 * 8 + 2) + (2 * width + 4 * _BLOCK) * 8
-    margin = 4 * 8192 * 8 + _BLOCK * d * 8
+    workspace = _BLOCK * n * (2 * 8 + 3) + 2 * n * 8
+    margin = _BLOCK * n * 8 // 4
     assert peak < held + workspace + sum(a.nbytes for a in log) + margin
 
 
@@ -567,6 +535,39 @@ def test_class_means_do_not_depend_on_the_order_of_the_rows(scores, pyrandom):
             assert mean == math.fsum(members) / len(members)
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 30),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 1e300, np.inf]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_class_means_kept_in_place_equal_those_of_the_prefix(steps):
+    """``ClassMeans`` under rows added and rows whose score moves, the
+    largest finite score and the infinite ones included, gives at every step
+    the means and sizes of ``class_means`` on the prefix, bit for bit."""
+    kept = ClassMeans()
+    scores: list[float] = []
+    labels: list[int] = []
+    for label, row, score in steps:
+        if row < len(scores) and row % 2:
+            before, scores[row] = scores[row], score
+            kept.move(labels[row], before, score)
+        else:
+            # class ids are dense: a new class takes the next id
+            labels.append(min(label, max(labels, default=-1) + 1))
+            scores.append(score)
+            kept.add(labels[-1], score)
+        means, counts = class_means(scores, labels)
+        assert np.array(kept.current(scores)).tobytes() == means.tobytes()
+        assert kept.counts == counts.tolist()
+
+
 def test_label_average_rejects_length_mismatch():
     with pytest.raises(ValueError):
         label_average([1.0], [0, 1])
@@ -691,24 +692,3 @@ def test_extend_in_two_calls_matches_one_at_a_time_inserts_and_the_full_scan(cas
     assert np.array_equal(cache.d_same, d_same), context
     assert np.array_equal(cache.d_other, d_other), context
 
-
-@pytest.mark.parametrize("d", [2, 64])
-def test_extend_in_two_calls_with_narrow_panels_matches_inserts_and_the_full_scan(monkeypatch, d):
-    """The screen's fuzz families, in panels of ``_BLOCK`` rows, inserted by
-    two ``extend`` calls whose split is not a multiple of the block."""
-    monkeypatch.setattr(conformity, "_PANEL_ENTRIES", _BLOCK * _BLOCK)
-    rng = np.random.default_rng(47)
-    n = 8 * _BLOCK
-    split = 3 * _BLOCK + 5
-    for n_classes in (2, 10):
-        families = _screened_streams(rng, n, d, n_classes)
-        for name in ("offset 1e154", "scaled 1e-160", "duplicates", "lattice", "late classes"):
-            points, labels = families[name]
-            context = f"{name} (d={d}, K={n_classes})"
-            stream = make_stream(points, labels)
-            cache, reference = NnCache(), NnCache()
-            extend_in_lockstep(cache, stream[:split], reference, context)
-            extend_in_lockstep(cache, stream[split:], reference, context)
-            d_same, d_other = oracle_minima(points, labels)
-            assert np.array_equal(cache.d_same, d_same), context
-            assert np.array_equal(cache.d_other, d_other), context
