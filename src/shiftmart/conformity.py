@@ -70,8 +70,8 @@ SCREEN_MIN_FLOATS = 4096
 # and n = 2000, d = 64 and 256, timed alternately in one process). In
 # benchmark pairs against blocks of 16 they lowered the peak resident
 # memory of one cold experiment of n = 2000, d = 256 by 0.48 MiB and raised
-# that of a warm process running experiments of n = 1000, d = 2 by 1.2 MiB
-# (0.3 MiB of it the workspace). Screening the stored rows in column panels
+# that of a warm process running experiments of n = 1000, d = 2 by 0.9 to
+# 1.2 MiB (0.3 MiB of it the workspace). Screening the stored rows in column panels
 # of a fixed number of entries, so that the screen's buffers did not grow
 # with the cache, raised it by 0.5 to 1 MiB too and made the screen slower.
 _BLOCK = 32
