@@ -5,15 +5,27 @@ The configs cover independent and shared randomization, a run without the
 label leg, equal and different concept/label measures, the sleepy-jumper
 tag, the mixture-power strategy, and a d=64, K=10 stream long enough for the
 nearest-neighbour cache to switch to its screened insert
-(``SCREEN_MIN_FLOATS``).
+(``SCREEN_MIN_FLOATS``). Every one of them is Gaussian, so none has a
+duplicate row; a USPS-format file written from a fixed seed, with exact
+duplicates inside classes, takes the label leg's ``ratio`` scores to +inf
+and so the class means through their clamp.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from shiftmart import ExperimentConfig, ScenarioConfig, render_trajectory_csv, run_experiment
-from shiftmart.conformity import SCREEN_MIN_FLOATS
+from shiftmart import (
+    ExperimentConfig,
+    NnCache,
+    ScenarioConfig,
+    UspsPaths,
+    load_usps,
+    render_trajectory_csv,
+    run_experiment,
+)
+from shiftmart.conformity import SCREEN_MIN_FLOATS, nn_scores
 
 GOLDEN = {
     "iid-independent": (
@@ -106,3 +118,38 @@ def test_golden_csv_bytes_are_unchanged(name):
     config, digest = GOLDEN[name]
     csv_text = render_trajectory_csv(run_experiment(config))
     assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == digest
+
+
+DUPLICATE_ROWS_DIGEST = "2f5d00e1a3b45482707d3be879407e0c146afb1b9a68144b2604454a1906c3e4"
+
+
+@pytest.fixture
+def duplicate_rows_usps(tmp_path):
+    """USPS train and test files of 80 and 20 rows (d = 256, K = 10) from a
+    fixed seed, in which 12 rows repeat an earlier row of their class."""
+    rng = np.random.default_rng(20)
+    labels = rng.integers(0, 10, size=100)
+    pixels = np.round(rng.uniform(-1.0, 1.0, size=(100, 256)), 4)
+    for later in rng.choice(np.arange(10, 100), size=12, replace=False):
+        earlier = rng.integers(0, later)
+        labels[later], pixels[later] = labels[earlier], pixels[earlier]
+    lines = [" ".join([str(y)] + [f"{v:.4f}" for v in row]) for y, row in zip(labels, pixels)]
+    train, test = tmp_path / "zip.train", tmp_path / "zip.test"
+    train.write_text("\n".join(lines[:80]) + "\n")
+    test.write_text("\n".join(lines[80:]) + "\n")
+    return str(train), str(test)
+
+
+def test_the_duplicate_rows_stream_reaches_infinite_ratio_scores_and_the_screen(
+    duplicate_rows_usps,
+):
+    stream = load_usps(*duplicate_rows_usps)
+    assert stream.x.size > SCREEN_MIN_FLOATS
+    _, d_same, d_other = NnCache().extend(stream)
+    assert np.isinf(nn_scores("ratio", d_same, d_other)).sum() > 0
+
+
+def test_duplicate_rows_csv_bytes_are_unchanged(duplicate_rows_usps):
+    config = ExperimentConfig(UspsPaths(*duplicate_rows_usps), jump_rate=0.01, seed=17)
+    csv_text = render_trajectory_csv(run_experiment(config))
+    assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == DUPLICATE_ROWS_DIGEST
