@@ -11,7 +11,9 @@ of the stream; ``interleave`` with the ``same-class`` concept leg, the
 call (the replay); and ``run_experiment`` of the same shape plus writing its
 CSV. For each timing the script prints each side's median and quartiles, the
 B/A ratio of each round, and the rounds B won. Exit codes: 0 on success, 2 on
-bad arguments, 3 on a tree without ``src/shiftmart``.
+bad arguments (d < K among them), 3 on a tree without ``src/shiftmart`` or a
+timing process that fails, such as a tree whose package does not import; the
+failing process's last line of standard error is printed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ import time
 from pathlib import Path
 
 TIMINGS = ("extend_s", "replay_s", "experiment_s")
+
+
+class ChildFailed(Exception):
+    """A timing process exited with an error."""
 
 
 def child(src: str, n: int, d: int, n_classes: int, seed: int) -> dict:
@@ -78,7 +84,10 @@ def child(src: str, n: int, d: int, n_classes: int, seed: int) -> dict:
 
 def timed_process(src: Path, shape: tuple[int, int, int], seed: int) -> dict:
     command = [sys.executable, __file__, "--child", str(src), ",".join(map(str, shape)), str(seed)]
-    result = subprocess.run(command, capture_output=True, text=True, check=True)
+    result = subprocess.run(command, capture_output=True, text=True)
+    if result.returncode:
+        last = (result.stderr.strip().splitlines() or ["(no output)"])[-1]
+        raise ChildFailed(f"error: the process timing {src} exited with {result.returncode}: {last}")
     return json.loads(result.stdout)
 
 
@@ -96,6 +105,8 @@ def parse_shape(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"not three integers n,d,K: {text!r}") from None
     if len(shape) != 3 or min(shape) < 1:
         raise argparse.ArgumentTypeError(f"not three positive integers n,d,K: {text!r}")
+    if shape[1] < shape[2]:
+        raise argparse.ArgumentTypeError(f"d must be at least K for the class centres: {text!r}")
     return shape
 
 
@@ -130,7 +141,11 @@ def main(argv: list[str]) -> int:
     for round_ in range(args.rounds):
         order = ("A", "B") if round_ % 2 == 0 else ("B", "A")
         for side in order:
-            runs[side].append(timed_process(trees[side == "B"], args.shape, seed=round_))
+            try:
+                runs[side].append(timed_process(trees[side == "B"], args.shape, seed=round_))
+            except ChildFailed as exc:
+                print(exc, file=sys.stderr)
+                return 3
     for key in TIMINGS:
         a = [run[key] for run in runs["A"]]
         b = [run[key] for run in runs["B"]]

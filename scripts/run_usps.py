@@ -5,7 +5,9 @@ Expects the classic whitespace-separated text files (label then 256 pixel
 intensities in [-1, 1] per row), usually named zip.train and zip.test.
 Prints the final log10 capitals of all four martingales and where the
 concept-shift leg earned its growth, and optionally writes the trajectory
-CSV for plotting. Exits as ``shiftmart run`` does: 0 on success, 2 on a bad
+CSV for plotting. It takes the flags of ``shiftmart run`` that override a
+config, ``--output`` among them, but not ``--config`` or the inert
+``--reluctance``. Exits as ``shiftmart run`` does: 0 on success, 2 on a bad
 flag value, 3 on a missing or malformed data file.
 """
 
@@ -14,9 +16,7 @@ import sys
 import time
 
 from shiftmart import run_experiment, write_trajectory_csv
-from shiftmart.betting import STRATEGY_TAGS
-from shiftmart.cli import config_from_dict, exit_code_of
-from shiftmart.conformity import NN_VARIANTS
+from shiftmart.cli import add_run_flags, config_from_dict, exit_code_of
 
 
 def report(args) -> int:
@@ -48,15 +48,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("train", help="path to zip.train")
     parser.add_argument("test", help="path to zip.test")
-    parser.add_argument("--concept-measure", dest="concept_measure", choices=NN_VARIANTS)
-    parser.add_argument("--label-measure", dest="label_measure", choices=NN_VARIANTS)
-    parser.add_argument("--strategy", choices=STRATEGY_TAGS)
-    parser.add_argument("--jump-rate", dest="jump_rate", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--shared-randomization", dest="shared_randomization", action="store_true", default=None
-    )
-    parser.add_argument("--out", dest="output", help="trajectory CSV output path")
+    add_run_flags(parser)
     args = parser.parse_args(argv)
     return exit_code_of(lambda: report(args))
 

@@ -355,15 +355,13 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryTable:
     if not in_range.all():
         raise InvariantViolation(f"p-value out of range at step {np.argmin(in_range) + 1}")
 
-    def bet(p_values, provenance):
-        state = initial_state(config.strategy, config.jump_rate, config.reluctance)
-        return run_martingale(state, p_values, provenance)
-
-    black = bet(legs.p_black, tau_black_src.describe())
-    red = bet(legs.p_concept, legs.concept_provenance)
+    # a BettingState is frozen, so every leg starts from this one
+    start = initial_state(config.strategy, config.jump_rate, config.reluctance)
+    black = run_martingale(start, legs.p_black, tau_black_src.describe())
+    red = run_martingale(start, legs.p_concept, legs.concept_provenance)
     log10_green = log10_blue = None
     if legs.p_label is not None:
-        green = bet(legs.p_label, legs.label_provenance)
+        green = run_martingale(start, legs.p_label, legs.label_provenance)
         blue = product_martingale(red, green, allow_shared=config.shared_randomization)
         log10_green, log10_blue = green.log10_values, blue.log10_values
     try:
@@ -581,6 +579,26 @@ def _count(cap: int):
     return parse
 
 
+def add_run_flags(parser) -> None:
+    """Declare on an argparse ``parser`` the flags that override a run's
+    config, which ``run`` shares with ``scripts/run_usps.py``. Each is
+    stored under its ``ExperimentConfig`` field's name, and is None when
+    absent."""
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--output", help="trajectory CSV output path")
+    parser.add_argument("--concept-measure", dest="concept_measure", choices=NN_VARIANTS)
+    parser.add_argument("--label-measure", dest="label_measure", choices=NN_VARIANTS)
+    parser.add_argument("--strategy", choices=STRATEGY_TAGS)
+    parser.add_argument("--jump-rate", dest="jump_rate", type=float)
+    parser.add_argument(
+        "--shared-randomization",
+        dest="shared_randomization",
+        action="store_true",
+        default=None,
+        help="draw all tie-breaking values from one substream (compatibility mode)",
+    )
+
+
 def _build_parser():
     import argparse
 
@@ -592,20 +610,8 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("--config", required=True, help="path to the JSON config")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--output", default=None, help="CSV output path (default stdout)")
-    run.add_argument("--concept-measure", dest="concept_measure", choices=NN_VARIANTS)
-    run.add_argument("--label-measure", dest="label_measure", choices=NN_VARIANTS)
-    run.add_argument("--strategy", choices=STRATEGY_TAGS)
-    run.add_argument("--jump-rate", dest="jump_rate", type=float, default=None)
-    run.add_argument("--reluctance", type=float, default=None)
-    run.add_argument(
-        "--shared-randomization",
-        dest="shared_randomization",
-        action="store_true",
-        default=None,
-        help="draw all tie-breaking values from one substream (compatibility mode)",
-    )
+    add_run_flags(run)
+    run.add_argument("--reluctance", type=float)
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="fan one config out over many seeds")

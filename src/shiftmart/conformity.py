@@ -576,23 +576,24 @@ def class_means(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 class ClassMeans:
     """The means of ``class_means`` for a prefix whose scores change in place.
 
-    Each class keeps the exact sum of its finite scores as an integer number
-    of units of 2**-1074, the count of its scores that are not finite, and
-    its size; ``add`` and ``move`` update only the class of the row they
-    name, from that row's score before and after. ``current`` re-divides
-    only the classes whose sum moved: the correctly rounded sum, then the
-    same IEEE division as ``class_means``, so the means are its means bit
-    for bit. While some class holds a score that is not finite, every such
-    class counts it as twice the largest finite score of the prefix, as
-    ``class_means`` does. That score is kept as the scores change and
-    searched for only after the row that held it moved down; a class that
-    holds a score that is not finite is re-divided only when it moved or
-    that score changed.
+    It keeps each row's score. Each class keeps the exact sum of its finite
+    scores as an integer number of units of 2**-1074, the count of its
+    scores that are not finite, and its size; ``add`` and ``move`` update
+    only the class of the row they name, from the score the row held and
+    the one it gets. ``current`` re-divides only the classes whose sum
+    moved: the correctly rounded sum, then the same IEEE division as
+    ``class_means``, so the means are its means bit for bit. While some
+    class holds a score that is not finite, every such class counts it as
+    twice the largest finite score of the prefix, as ``class_means`` does.
+    That score is kept as the scores change and searched for only after the
+    row that held it moved down; a class that holds a score that is not
+    finite is re-divided only when it moved or that score changed.
     """
 
     def __init__(self):
         self.means: list[float] = []
         self.counts: list[int] = []
+        self._scores: list[float] = []
         self._sums: list[int] = []
         self._infinite: list[int] = []
         self._moved: set[int] = set()
@@ -603,19 +604,23 @@ class ClassMeans:
         self._cap = 0
 
     def add(self, y: int, score: float) -> None:
-        """A new row of class ``y``, the next class id or an earlier one."""
+        """The next row, of class ``y``: the next class id or an earlier one."""
         if y == len(self.means):
             self.means.append(0.0)
             self.counts.append(0)
             self._sums.append(0)
             self._infinite.append(0)
         self.counts[y] += 1
+        self._scores.append(score)
         self._change(y, score, 1)
 
-    def move(self, y: int, before: float, after: float) -> None:
-        """A row of class ``y`` whose score changed from ``before`` to ``after``."""
-        self._change(y, before, -1)
-        self._change(y, after, 1)
+    def move(self, row: int, y: int, score: float) -> None:
+        """Row ``row``, of class ``y``, now has ``score``; nothing when it had it."""
+        before = self._scores[row]
+        if before != score:
+            self._scores[row] = score
+            self._change(y, before, -1)
+            self._change(y, score, 1)
 
     def _change(self, y: int, score: float, sign: int) -> None:
         if math.isfinite(score):
@@ -629,11 +634,11 @@ class ClassMeans:
             self._infinite[y] += sign
         self._moved.add(y)
 
-    def current(self, scores: list[float]) -> list[float]:
-        """The class means of the prefix whose scores are ``scores``."""
+    def current(self) -> list[float]:
+        """The class means of the rows as they stand."""
         if any(self._infinite):
             if self._stale:
-                self._top = max(filter(math.isfinite, scores), default=-math.inf)
+                self._top = max(filter(math.isfinite, self._scores), default=-math.inf)
                 self._stale = False
             cap = 2 * _units(self._top if self._top > -math.inf else 0.5)
             if cap != self._cap:

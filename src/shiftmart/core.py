@@ -76,13 +76,23 @@ class Observation:
     y: Label
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError(f"object must be a 1-D vector, got shape {x.shape}")
+        x = _real_array(self.x)
+        if x.ndim != 1 or not x.size:
+            raise ValueError(f"object must be a non-empty 1-D vector, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("object vector contains non-finite entries")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", _label(self.y))
+
+
+def _real_array(x) -> np.ndarray:
+    """``x`` as a float64 array, or ValueError naming its dtype if that is
+    bool, string or bytes, which the conversion would read without a word,
+    or complex, whose imaginary part it would drop with only a warning."""
+    array = np.asarray(x)
+    if array.dtype.kind in "bcSU":
+        raise ValueError(f"objects must be real numbers, got dtype {array.dtype}")
+    return np.asarray(array, dtype=np.float64)
 
 
 def _label_array(y) -> np.ndarray:
@@ -137,8 +147,10 @@ class Stream:
     ``generate`` relies on that hand-over to keep its rows once.
 
     The arrays are checked once, in one vectorised pass: ``x``, once held,
-    is 2-D and finite (a list or tuple of rows of several shapes is refused
-    first, naming them), and every label is an integer in [0, 2**63),
+    is 2-D, finite and, unless the stream is empty, at least one entry wide
+    (a list or tuple of rows of several shapes is refused first, naming
+    them, and an array of bools, complex numbers, strings or bytes is
+    refused, naming its dtype), and every label is an integer in [0, 2**63),
     refusing bools and floats as ``integer_field`` does; an integer array's
     labels are checked as they are converted, since a uint64 label must be
     checked before it becomes an int64. A stream works like a list of
@@ -155,9 +167,9 @@ class Stream:
             shapes = sorted({np.shape(row) for row in self.x})
             if len(shapes) > 1:
                 raise ValueError(f"object rows must share one shape, got {', '.join(map(str, shapes))}")
-        x = _held(np.asarray(self.x, dtype=np.float64), self.x)
-        if x.ndim != 2:
-            raise ValueError(f"objects must be a 2-D array, got shape {x.shape}")
+        x = _held(_real_array(self.x), self.x)
+        if x.ndim != 2 or (x.shape[0] and not x.shape[1]):
+            raise ValueError(f"objects must be a 2-D array of non-empty rows, got shape {x.shape}")
         y = _held(_label_array(self.y), self.y)
         if y.size != x.shape[0]:
             raise ValueError(f"{x.shape[0]} objects but {y.size} labels")

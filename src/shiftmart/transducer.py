@@ -20,10 +20,10 @@ martingale. Adding an observation changes the nearest-neighbour scores of
 earlier observations, so every step rescores exactly the rows whose
 distances that insertion lowered, and the new row. ``NnCache.extend`` logs
 those rows for the whole stream, the log is scored with one ``nn_scores``
-call per measure, and each class keeps an exact sum of its label-measure
-scores, updated at the rows each step changes (``ClassMeans``); the ranks
-then come from sorted score lists and class means and equal those of the
-two transducers on the full prefix, bit for bit.
+call per measure, and a ``ClassMeans`` keeps the rows' label-measure
+scores and an exact sum per class, updated at the rows each step changes;
+the ranks then come from sorted score lists and class means and equal those
+of the two transducers on the full prefix, bit for bit.
 """
 
 from __future__ import annotations
@@ -170,12 +170,12 @@ def interleave(
     equal to it is the step's new row. The concept scores are kept in one
     sorted list per class (and one over all rows for the black leg), so a
     rank is two bisections. The label leg ranks the newest class mean among
-    the class means, which a ``ClassMeans`` keeps: a row's label-measure
-    score moves only its class's exact sum, only the classes whose sum moved
-    are re-divided, and the means are those of ``class_means`` on the prefix
-    bit for bit. The counts are the exact integers the transducers
-    count, and scores are never NaN, so the p-values are bit-identical to the
-    transducers on the full prefix.
+    the class means, which a ``ClassMeans`` keeps with the rows'
+    label-measure scores: a row's new score moves only its class's exact
+    sum, only the classes whose sum moved are re-divided, and the means are
+    those of ``class_means`` on the prefix bit for bit. The counts are the
+    exact integers the transducers count, and scores are never NaN, so the
+    p-values are bit-identical to the transducers on the full prefix.
     """
     with_black = tau_black_src is not None
     with_label = label_measure is not None
@@ -199,10 +199,9 @@ def interleave(
         nn_scores(concept_measure, d_same, d_other).tolist(),
         nn_scores(label_measure, d_same, d_other).tolist() if with_label else repeat(None),
     )
-    # the class id and concept score of each row, and the label-measure scores
+    # the class id and concept score of each row (label_means keeps the label-measure scores)
     row_class = cache.labels.tolist()
     concept_scores: list[float] = []
-    label_scores: list[float] = []
     label_means = ClassMeans()
     # the concept scores of each class id, and of all rows, in sorted lists
     by_class: list[list[float]] = []
@@ -218,10 +217,7 @@ def interleave(
                 if with_black:
                     _move(overall, before, score)
             if with_label:
-                before = label_scores[i]
-                if before != label_score:
-                    label_scores[i] = label_score
-                    label_means.move(row_class[i], before, label_score)
+                label_means.move(i, row_class[i], label_score)
             continue
         # row k itself, the last row of step k
         y = row_class[k]
@@ -235,9 +231,8 @@ def interleave(
             p_black[k] = _rank(overall, score, tau_black[k])
         p_concept[k] = _rank(by_class[y], score, tau[k])
         if with_label:
-            label_scores.append(label_score)
             label_means.add(y, label_score)
-            means = label_means.current(label_scores)
+            means = label_means.current()
             p_label[k] = _rank_class_mean(means, label_means.counts, y, tau_prime[k])
     label_provenance = tau_prime_src.describe() if with_label else None
     return InterleavedPValues(p_concept, p_label, tau_src.describe(), label_provenance, p_black)

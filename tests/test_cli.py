@@ -413,7 +413,7 @@ def run_script(name, *args):
 
 def test_run_usps_script_runs_and_maps_errors_to_exit_codes(tmp_path, usps_files):
     out = tmp_path / "usps.csv"
-    result = run_script("run_usps.py", *usps_files, "--out", out)
+    result = run_script("run_usps.py", *usps_files, "--output", out)
     assert (result.returncode, result.stderr) == (EXIT_OK, "")
     assert "processed 4 observations" in result.stdout
     # flags left out keep the config defaults
@@ -421,6 +421,10 @@ def test_run_usps_script_runs_and_maps_errors_to_exit_codes(tmp_path, usps_files
     result = run_script("run_usps.py", *usps_files, "--jump-rate", "5")
     assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
     assert result.stderr.startswith("config error: jump_rate")
+    # run's flags less --config and the inert --reluctance
+    result = run_script("run_usps.py", *usps_files, "--reluctance", "0.5")
+    assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+    assert "unrecognized arguments: --reluctance" in result.stderr
     result = run_script("run_usps.py", tmp_path / "missing", usps_files[1])
     assert (result.returncode, result.stdout) == (EXIT_DATA, "")
     assert result.stderr.startswith(f"data error: cannot open {tmp_path / 'missing'}")
@@ -438,6 +442,19 @@ def test_ab_time_script_times_two_trees_and_maps_errors_to_exit_codes(tmp_path):
     result = run_script("ab_time.py", tmp_path, root, "--shape", "40,2,2")
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr.startswith(f"error: no src/shiftmart under {tmp_path}")
+    # a scenario's class centres need d >= K
+    result = run_script("ab_time.py", root, root, "--shape", "40,2,5")
+    assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+    assert "d must be at least K" in result.stderr
+    # a tree whose package fails to import: its process's last line, not a traceback
+    broken = tmp_path / "broken"
+    (broken / "src" / "shiftmart").mkdir(parents=True)
+    (broken / "src" / "shiftmart" / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    result = run_script("ab_time.py", root, broken, "--shape", "40,2,2", "--rounds", 1)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith(f"error: the process timing {(broken / 'src').resolve()} exited with 1")
+    assert result.stderr.endswith("ImportError: broken tree\n")
+    assert "Traceback" not in result.stderr
 
 
 def test_calibration_script_runs_and_maps_errors_to_exit_codes():
@@ -484,7 +501,15 @@ def test_fault_modes_script_summarises_run_records(tmp_path):
     ]
     results = tmp_path / "results"
     results.mkdir()
-    record = {"workload": "mc-small", "seed": 1, "experiments": experiments}
+    # the fields perfbench/run.py writes, less the environment and the metrics
+    record = {
+        "workload": "mc-small",
+        "seed": 1,
+        "trace": 0,
+        "failures": [{"seed": 13, "failures": ["raised: see stderr"]}],
+        "experiments": experiments,
+        "attempted": 4,
+    }
     (results / "mc-small-seed1-trace0.json").write_text(json.dumps(record))
     result = run_script("fault_modes.py", results)
     assert (result.returncode, result.stderr) == (EXIT_OK, "")
@@ -497,6 +522,12 @@ def test_fault_modes_script_summarises_run_records(tmp_path):
     result = run_script("fault_modes.py", broken)
     assert (result.returncode, result.stdout) == (EXIT_DATA, "")
     assert result.stderr.startswith(f"{broken}: not a run record")
+    # JSON, but not a record
+    for text in ("[1, 2]", '{"workload": "mc-small"}', '{"workload": "w", "seed": 1, "experiments": []}'):
+        broken.write_text(text)
+        result = run_script("fault_modes.py", broken)
+        assert (result.returncode, result.stdout) == (EXIT_DATA, "")
+        assert result.stderr.startswith(f"{broken}: not a run record")
     assert run_script("fault_modes.py", tmp_path / "missing.json").returncode == EXIT_DATA
     assert run_script("fault_modes.py").returncode == EXIT_CONFIG
 

@@ -194,6 +194,28 @@ def test_stream_refuses_malformed_objects():
             Stream(np.zeros((1, 1)), labels)
 
 
+def test_stream_and_observation_refuse_objects_the_engine_cannot_score():
+    # a row of width 0 has no distance to take; the empty stream of any width stays
+    with pytest.raises(ValueError, match=re.escape("got shape (3, 0)")):
+        Stream(np.zeros((3, 0)), [0, 1, 0])
+    with pytest.raises(ValueError, match=re.escape("got shape (0,)")):
+        Observation(np.zeros(0), 1)
+    assert len(Stream(np.zeros((0, 0)), [])) == len(Stream(np.zeros((0, 3)), [])) == 0
+    # a conversion to float64 would drop the imaginary part with only a
+    # warning, and read bools, strings and bytes without a word
+    for objects in (
+        np.array([[1 + 2j, 0.0]]),
+        [[True, False]],
+        [["1", "2"]],
+        np.array([[b"1", b"2"]]),
+    ):
+        dtype = np.asarray(objects).dtype
+        with pytest.raises(ValueError, match=re.escape(f"got dtype {dtype}")):
+            Stream(objects, [0])
+        with pytest.raises(ValueError, match=re.escape(f"got dtype {dtype}")):
+            Observation(objects[0], 0)
+
+
 @pytest.mark.parametrize("label", [1.5, True, -1, 2**63, 2.0])
 def test_stream_refuses_a_label_that_int64_counts_cannot_hold(label):
     # labels are checked once per stream, as an array or one by one, and a
