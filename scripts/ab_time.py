@@ -8,9 +8,10 @@ odd ones. A process imports only its own tree and times, on an IID stream of
 n points of dimension d with K classes (the round's seed): ``NnCache().extend``
 of the stream; ``interleave`` with the ``same-class`` concept leg, the
 ``ratio`` label leg and the black leg, less the time of its own ``extend``
-call (the replay); and ``run_experiment`` of the same shape plus writing its
-CSV. For each timing the script prints each side's median and quartiles, the
-B/A ratio of each round, and the rounds B won. Exit codes: 0 on success, 2 on
+call (the replay); the label leg's share of the replay, a second such replay
+less one without the label leg; and ``run_experiment`` of the same shape plus
+writing its CSV. For each timing the script prints each side's median and
+quartiles, the B/A ratio of each round, and the rounds B won. Exit codes: 0 on success, 2 on
 bad arguments (d < K among them), 3 on a tree without ``src/shiftmart`` or a
 timing process that fails, such as a tree whose package does not import; the
 failing process's last line of standard error is printed.
@@ -27,7 +28,7 @@ import tempfile
 import time
 from pathlib import Path
 
-TIMINGS = ("extend_s", "replay_s", "experiment_s")
+TIMINGS = ("extend_s", "replay_s", "label_s", "experiment_s")
 
 
 class ChildFailed(Exception):
@@ -35,7 +36,7 @@ class ChildFailed(Exception):
 
 
 def child(src: str, n: int, d: int, n_classes: int, seed: int) -> dict:
-    """The three timings of one process that imports the package from ``src``."""
+    """The four timings of one process that imports the package from ``src``."""
     sys.path.insert(0, src)
     from shiftmart import (
         ExperimentConfig,
@@ -63,11 +64,17 @@ def child(src: str, n: int, d: int, n_classes: int, seed: int) -> dict:
             inner.append(time.perf_counter() - start)
             return log
 
+    def replay(label_measure: str | None) -> float:
+        inner.clear()
+        tau, tau_prime, tau_black = (RandomSource(seed, name) for name in ("tau", "tau-prime", "tau-black"))
+        start = time.perf_counter()
+        interleave(stream, "same-class", label_measure, tau, tau_prime if label_measure else None, tau_black)
+        return time.perf_counter() - start - sum(inner)
+
     transducer.NnCache = TimedCache
-    sources = (RandomSource(seed, name) for name in ("tau", "tau-prime", "tau-black"))
-    start = time.perf_counter()
-    interleave(stream, "same-class", "ratio", *sources)
-    replay_s = time.perf_counter() - start - sum(inner)
+    replay_s = replay("ratio")
+    # from two later calls, as the first pays the process's first-call costs
+    label_s = replay("ratio") - replay(None)
     transducer.NnCache = NnCache
 
     config = ExperimentConfig(
@@ -79,7 +86,7 @@ def child(src: str, n: int, d: int, n_classes: int, seed: int) -> dict:
         start = time.perf_counter()
         write_trajectory_csv(run_experiment(config), str(Path(tmp) / "run.csv"))
         experiment_s = time.perf_counter() - start
-    return {"extend_s": extend_s, "replay_s": replay_s, "experiment_s": experiment_s}
+    return {"extend_s": extend_s, "replay_s": replay_s, "label_s": label_s, "experiment_s": experiment_s}
 
 
 def timed_process(src: Path, shape: tuple[int, int, int], seed: int) -> dict:

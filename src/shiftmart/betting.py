@@ -224,14 +224,19 @@ def run_martingale(
     ``product_martingale``.
 
     The p-values are converted to float64 once and checked in one pass: an
-    array that is not 1-D raises ValueError naming its shape, and the first
-    p-value outside [0, 1] (or NaN) raises ValueError naming it. The
+    array of bools, complex numbers, strings, bytes or objects raises
+    ValueError naming its dtype, one that is not 1-D names its shape, and
+    the first p-value outside [0, 1] (or NaN) raises ValueError naming it. The
     capitals then come from one ``_advance`` call, so every entry has the
     bits of the ``bet_step`` chain.
     """
     if not isinstance(p_values, np.ndarray):
         p_values = list(p_values)
-    p_values = np.asarray(p_values, dtype=np.float64)
+    p_values = np.asarray(p_values)
+    # the conversion would read bools, strings and objects without a word
+    if p_values.dtype.kind in "bcOSU":
+        raise ValueError(f"p-values must be real numbers, got dtype {p_values.dtype}")
+    p_values = p_values.astype(np.float64, copy=False)
     if p_values.ndim != 1:
         raise ValueError(f"p-values must be a 1-D array, got shape {p_values.shape}")
     in_range = (p_values >= 0.0) & (p_values <= 1.0)

@@ -489,12 +489,21 @@ def nn_scores(variant: str, d_same, d_other) -> np.ndarray:
     Elementwise over equal-shaped ``d_same`` and ``d_other`` arrays, so the
     scores of any subset of a cache's rows are those of ``score_nn`` at the
     same rows. Higher scores mean more conforming; the result may contain
-    +inf but never NaN.
+    +inf but never NaN. Arrays of unequal shapes, and a distance that is
+    negative or NaN, raise ValueError naming the array and the first bad
+    (flat) index.
     """
     if variant not in NN_VARIANTS:
         raise ValueError(f"unknown conformity variant {variant!r}")
     ds = np.asarray(d_same, dtype=np.float64)
     do = np.asarray(d_other, dtype=np.float64)
+    if ds.shape != do.shape:
+        raise ValueError(f"d_same and d_other must have equal shapes, got {ds.shape} and {do.shape}")
+    for name, distances in (("d_same", ds), ("d_other", do)):
+        valid = distances >= 0.0
+        if not valid.all():
+            index = int(np.argmin(valid.ravel()))
+            raise ValueError(f"{name} must be nonnegative distances, got {distances.flat[index]} at index {index}")
     if variant == "ratio":
         return _extended_ratio(do, ds)
     if variant == "ratio-squared-denominator":
@@ -554,7 +563,8 @@ def class_means(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     size, so it depends on the class's scores as a bag, in any order. A score
     that is not finite counts as twice the largest finite score (as 1.0 when
     no finite score exists), exactly; this is rank-affecting only in
-    degenerate prefixes. A sum past the largest double is +inf. A label below
+    degenerate prefixes. A sum past the largest double is +inf. A NaN score
+    raises ValueError naming its index. A label below
     the largest one that does not occur has count 0 and mean 0. Memory grows
     with the largest label, so pass dense class ids such as
     ``NnCache.labels``.
@@ -563,6 +573,9 @@ def class_means(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
+    nan = np.isnan(scores)
+    if nan.any():
+        raise ValueError(f"scores must not be NaN, got NaN at index {int(np.argmax(nan))}")
     counts = np.bincount(labels)
     finite = scores[np.isfinite(scores)]
     cap = 2 * _units(float(finite.max())) if finite.size else _units(1.0)
@@ -588,6 +601,11 @@ class ClassMeans:
     That score is kept as the scores change and searched for only after the
     row that held it moved down; a class that holds a score that is not
     finite is re-divided only when it moved or that score changed.
+
+    ``current`` may be called at any subset of the steps: the classes that
+    moved in between are re-divided at the next call. ``interleave`` calls
+    it only at the steps that the float class sums of its label leg cannot
+    decide, and feeds it the log only up to the last of them.
     """
 
     def __init__(self):

@@ -88,10 +88,19 @@ class Observation:
 def _real_array(x) -> np.ndarray:
     """``x`` as a float64 array, or ValueError naming its dtype if that is
     bool, string or bytes, which the conversion would read without a word,
-    or complex, whose imaginary part it would drop with only a warning."""
+    or complex, whose imaginary part it would drop with only a warning. An
+    object array's elements are taken by the rule of ``_as_float``: one
+    that is not a real number, a bool or a string among them, raises
+    ValueError naming it, and an integer too large for a float becomes NaN,
+    which a ``Stream`` refuses as non-finite."""
     array = np.asarray(x)
     if array.dtype.kind in "bcSU":
         raise ValueError(f"objects must be real numbers, got dtype {array.dtype}")
+    if array.dtype.kind == "O":
+        for value in array.flat:
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"objects must be real numbers, got {reprlib.repr(value)} in an object array")
+        return np.array([_as_float(value) for value in array.flat]).reshape(array.shape)
     return np.asarray(array, dtype=np.float64)
 
 
@@ -149,8 +158,9 @@ class Stream:
     The arrays are checked once, in one vectorised pass: ``x``, once held,
     is 2-D, finite and, unless the stream is empty, at least one entry wide
     (a list or tuple of rows of several shapes is refused first, naming
-    them, and an array of bools, complex numbers, strings or bytes is
-    refused, naming its dtype), and every label is an integer in [0, 2**63),
+    them, an array of bools, complex numbers, strings or bytes is refused,
+    naming its dtype, and so is an object array element that is not a real
+    number, naming it), and every label is an integer in [0, 2**63),
     refusing bools and floats as ``integer_field`` does; an integer array's
     labels are checked as they are converted, since a uint64 label must be
     checked before it becomes an int64. A stream works like a list of

@@ -131,6 +131,22 @@ def test_run_martingale_names_the_first_p_value_out_of_range(tag, bad):
 
 
 @pytest.mark.parametrize(
+    "p_values, dtype",
+    [
+        (np.array(["0.5", "0.2"], dtype=object), "object"),
+        ([True, False], "bool"),
+        (np.array(["0.5", "0.2"]), "<U3"),
+        ([0.5, None], "object"),
+    ],
+)
+@pytest.mark.parametrize("tag", ["simple-jumper", "mixture-power"])
+def test_run_martingale_refuses_p_values_that_are_not_real_numbers(tag, p_values, dtype):
+    # a conversion to float64 would read each of these without a word
+    with pytest.raises(ValueError, match=f"p-values must be real numbers, got dtype {dtype}$"):
+        run_martingale(initial_state(tag), p_values)
+
+
+@pytest.mark.parametrize(
     "p_values, shape",
     [([[0.5, 0.2]], r"\(1, 2\)"), (np.full((2, 3), 0.5), r"\(2, 3\)"), (np.array(0.5), r"\(\)")],
 )

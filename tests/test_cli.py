@@ -435,7 +435,7 @@ def test_ab_time_script_times_two_trees_and_maps_errors_to_exit_codes(tmp_path):
     result = run_script("ab_time.py", root, root, "--shape", "40,2,2", "--rounds", 1)
     assert (result.returncode, result.stderr) == (EXIT_OK, "")
     lines = result.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[::3]] == ["extend_s", "replay_s", "experiment_s"]
+    assert [line.split(":")[0] for line in lines[::3]] == ["extend_s", "replay_s", "label_s", "experiment_s"]
     assert all(line.endswith("of 1 rounds") for line in lines[2::3])
     result = run_script("ab_time.py", root, root, "--shape", "40,2")
     assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")

@@ -19,6 +19,7 @@ from shiftmart import (
     generate,
     interleave,
     label_average,
+    nn_scores,
     score_nn,
 )
 from shiftmart.conformity import _BLOCK, SCREEN_MIN_FLOATS, ClassMeans, class_means
@@ -572,6 +573,29 @@ def test_class_means_kept_in_place_equal_those_of_the_prefix(steps):
 def test_label_average_rejects_length_mismatch():
     with pytest.raises(ValueError):
         label_average([1.0], [0, 1])
+
+
+def test_class_means_and_label_average_refuse_a_nan_score():
+    # a NaN used to count as the clamp: the mean of [nan, 2.0] read 3.0
+    for average in (class_means, label_average):
+        with pytest.raises(ValueError, match="got NaN at index 0"):
+            average([np.nan, 2.0], [0, 0])
+        with pytest.raises(ValueError, match="got NaN at index 2"):
+            average([1.0, np.inf, np.nan], [0, 1, 1])
+
+
+def test_nn_scores_refuse_distances_of_unequal_shapes_nan_or_below_zero():
+    # (2,) against (1,) used to broadcast, NaN to score 1.0 and -1 to -1.0
+    with pytest.raises(ValueError, match=r"equal shapes, got \(2,\) and \(1,\)"):
+        nn_scores("ratio", [1.0, 2.0], [3.0])
+    for bad in (np.nan, -1.0, -np.inf):
+        for variant in NN_VARIANTS:
+            with pytest.raises(ValueError, match=f"d_same must be nonnegative distances, got {bad} at index 1"):
+                nn_scores(variant, [1.0, bad], [1.0, 1.0])
+            with pytest.raises(ValueError, match=f"d_other must be nonnegative distances, got {bad} at index 0"):
+                nn_scores(variant, [1.0, 1.0], [bad, 1.0])
+    # zero and infinite distances take the extended-real conventions
+    assert nn_scores("ratio", [0.0, np.inf], [0.0, 1.0]).tolist() == [1.0, 0.0]
 
 
 # --- properties -------------------------------------------------------------

@@ -216,6 +216,22 @@ def test_stream_and_observation_refuse_objects_the_engine_cannot_score():
             Observation(objects[0], 0)
 
 
+def test_stream_takes_an_object_array_of_real_numbers_only():
+    # as for labels, a bool or a string is not a number, even where float()
+    # would read it
+    for row in (["1", True], [1.0, True], [np.True_, 2.0], [1.0, None], [1.0, 1 + 0j]):
+        objects = np.array([row], dtype=object)
+        with pytest.raises(ValueError, match="objects must be real numbers, got .* in an object array"):
+            Stream(objects, [0])
+        with pytest.raises(ValueError, match="objects must be real numbers"):
+            Observation(objects[0], 0)
+    # an integer too large for a float is not finite
+    with pytest.raises(ValueError, match="non-finite"):
+        Stream(np.array([[10**400, 1]], dtype=object), [0])
+    stream = Stream(np.array([[1, 2.5], [np.float32(0.5), np.int64(-3)]], dtype=object), [0, 1])
+    assert stream.x.dtype == np.float64 and stream.x.tolist() == [[1.0, 2.5], [0.5, -3.0]]
+
+
 @pytest.mark.parametrize("label", [1.5, True, -1, 2**63, 2.0])
 def test_stream_refuses_a_label_that_int64_counts_cannot_hold(label):
     # labels are checked once per stream, as an array or one by one, and a

@@ -15,6 +15,7 @@ from shiftmart import (
     generate,
     interleave,
     label_average,
+    nn_scores,
     p_conformal,
     p_label_conditional,
     score_nn,
@@ -72,6 +73,17 @@ def test_invalid_inputs_rejected():
             p_label_conditional([1.0], [0], tau)
     with pytest.raises(ValueError):
         p_label_conditional([1.0, 2.0], [0], 0.5)
+
+
+def test_p_conformal_refuses_nan_scores_and_arrays_that_are_not_1d():
+    # NaN used to rank as 0.0, and a 2-D list was ranked flattened
+    with pytest.raises(ValueError, match="got NaN at index 0"):
+        p_conformal([np.nan, np.nan], 0.5)
+    with pytest.raises(ValueError, match="got NaN at index 1"):
+        p_conformal([1.0, np.nan, 2.0], 0.5)
+    for scores, shape in (([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)"), (5.0, r"\(\)")):
+        with pytest.raises(ValueError, match=f"1-D array, got shape {shape}"):
+            p_conformal(scores, 0.5)
 
 
 @st.composite
@@ -262,15 +274,16 @@ def test_interleave_matches_the_per_step_transducers(case):
 
 @pytest.mark.parametrize("case", list(_exactness_streams()), ids=lambda case: case[0])
 def test_interleave_ranks_the_class_means_of_the_prefix(monkeypatch, case):
-    """At every step, the class means that ``interleave`` ranks are those of
-    ``class_means`` on the label-measure scores of the prefix, bit for bit."""
+    """At every step that the certified stage leaves to the exact path, the
+    class means that ``interleave`` ranks are those of ``class_means`` on the
+    label-measure scores of the prefix, bit for bit."""
     name, points, labels = case
     stream = make_stream(points, labels)
-    ranked = []
+    ranked = {}
     rank = transducer._rank_class_mean
 
     def recording_rank(means, counts, y, tau):
-        ranked.append((list(means), list(counts)))
+        ranked[sum(counts) - 1] = (list(means), list(counts))
         return rank(means, counts, y, tau)
 
     monkeypatch.setattr(transducer, "_rank_class_mean", recording_rank)
@@ -280,9 +293,119 @@ def test_interleave_ranks_the_class_means_of_the_prefix(monkeypatch, case):
         cache = NnCache()
         for k, obs in enumerate(stream):
             cache.insert(obs)
-            means, counts = class_means(score_nn(label, cache), cache.labels)
-            assert ranked[k][0] == means.tolist(), f"{name}: {label}, step {k}"
-            assert ranked[k][1] == counts.tolist(), f"{name}: {label}, step {k}"
+            if k in ranked:
+                means, counts = class_means(score_nn(label, cache), cache.labels)
+                assert ranked[k][0] == means.tolist(), f"{name}: {label}, step {k}"
+                assert ranked[k][1] == counts.tolist(), f"{name}: {label}, step {k}"
+
+
+def _tied_stream():
+    """Class 1 is class 0's integer lattice points shifted by (1000, 0), the
+    two interleaved, so under ``same-class`` the two class means tie exactly
+    at every step that ends a pair, to the last one."""
+    rng = np.random.default_rng(47)
+    cells = rng.permutation(900)[:150]
+    lattice = np.column_stack((cells // 30, cells % 30)).astype(float)
+    points = np.empty((300, 2))
+    points[0::2], points[1::2] = lattice, lattice + [1000.0, 0.0]
+    return "tied lattice", points, np.tile([0, 1], 150)
+
+
+def _prefix_counts(means, counts, y):
+    """The rows whose class mean is below class ``y``'s, and equal to it."""
+    return counts[means < means[y]].sum(), counts[means == means[y]].sum()
+
+
+@pytest.mark.parametrize("case", [*_exactness_streams(), _tied_stream()], ids=lambda case: case[0])
+def test_certified_ranks_are_those_of_the_class_means_of_the_prefix(case):
+    """At every step the certified stage decides, its counts of the rows
+    whose class mean is below the newest row's, and equal to it, are those
+    of ``class_means`` on the label-measure scores of the prefix."""
+    name, points, labels = case
+    stream = make_stream(points, labels)
+    cache = NnCache()
+    rows, d_same, d_other = cache.extend(stream)
+    certified = {
+        label: transducer._certified_ranks(rows, nn_scores(label, d_same, d_other), cache.labels)
+        for label in NN_VARIANTS
+    }
+    prefix = NnCache()
+    for k, obs in enumerate(stream):
+        prefix.insert(obs)
+        for label, (less, equal, undecided) in certified.items():
+            if k not in undecided:
+                means, counts = class_means(score_nn(label, prefix), prefix.labels)
+                expected = _prefix_counts(means, counts, prefix.labels[k])
+                assert (less[k], equal[k]) == expected, f"{name}: {label}, step {k}"
+
+
+def test_interleave_ranks_exact_ties_late_in_the_stream():
+    name, points, labels = _tied_stream()
+    stream = make_stream(points, labels)
+    cache = NnCache()
+    rows, d_same, d_other = cache.extend(stream)
+    _, _, undecided = transducer._certified_ranks(rows, nn_scores("same-class", d_same, d_other), cache.labels)
+    # every step that ends a pair is a tie, the last step included
+    assert set(range(3, len(stream), 2)) <= set(undecided.tolist())
+    steps = list(_reference_steps(stream))
+    result = interleave(stream, "ratio", "same-class", *_sources(13, False, False))
+    _, _, p_label = _reference_pvalues(steps, "ratio", "same-class", *_sources(13, False, False))
+    assert np.array_equal(result.p_label, p_label)
+
+
+@pytest.mark.parametrize("shape, seeds", [((1000, 2, 2), range(4)), ((2000, 256, 10), range(2))])
+def test_certified_ranks_leave_only_early_steps_undecided_on_iid_streams(shape, seeds):
+    """On IID streams only the first steps go to the exact path: those that
+    hold an infinite score before a second class arrives, and early ties."""
+    n, dim, n_classes = shape
+    for seed in seeds:
+        stream = generate(ScenarioConfig("iid", n, n_classes, dim), RandomSource(seed, "scenario"))
+        cache = NnCache()
+        rows, d_same, d_other = cache.extend(stream)
+        for label in NN_VARIANTS:
+            scores = nn_scores(label, d_same, d_other)
+            _, _, undecided = transducer._certified_ranks(rows, scores, cache.labels)
+            assert undecided.size == 0 or undecided[-1] <= 64, f"{shape}, seed {seed}: {label}"
+
+
+@st.composite
+def scored_logs(draw):
+    """An ``NnCache.extend`` log with scores drawn to be hard to rank: small
+    integers, neighbouring doubles, subnormals, values near the largest
+    double, infinities, or decimals whose sums round."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cache = NnCache()
+    rows, _, _ = cache.extend(make_stream(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n)))
+    pool = draw(
+        st.sampled_from(
+            [
+                [0.0, 1.0, 2.0],
+                [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0 - 2.0**-53],
+                [0.0, 5e-324, 1e-310, 2.2250738585072014e-308],
+                [1.0, 1e308, 1.7e308, np.inf],
+                [0.1, 0.2, 0.3, 0.30000000000000004, 0.7],
+            ]
+        )
+    )
+    return rows, rng.choice(pool, size=rows.size), cache.labels
+
+
+@given(scored_logs())
+@settings(max_examples=100, deadline=None)
+def test_certified_ranks_hold_on_scores_that_are_hard_to_rank(log):
+    rows, scores, classes = log
+    less, equal, undecided = transducer._certified_ranks(rows, scores, classes)
+    current: list[float] = []
+    for i, score in zip(rows.tolist(), scores.tolist()):
+        if i < len(current):
+            current[i] = score
+            continue
+        k = len(current)
+        current.append(score)
+        if k not in undecided:
+            means, counts = class_means(current, classes[: k + 1])
+            assert (less[k], equal[k]) == _prefix_counts(means, counts, classes[k]), f"step {k}"
 
 
 def test_interleave_ranks_a_class_sum_past_the_largest_double_without_a_warning():
