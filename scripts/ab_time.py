@@ -11,10 +11,11 @@ of the stream; ``interleave`` with the ``same-class`` concept leg, the
 call (the replay); the label leg's share of the replay, a second such replay
 less one without the label leg; and ``run_experiment`` of the same shape plus
 writing its CSV. For each timing the script prints each side's median and
-quartiles, the B/A ratio of each round, and the rounds B won. Exit codes: 0 on success, 2 on
-bad arguments (d < K among them), 3 on a tree without ``src/shiftmart`` or a
-timing process that fails, such as a tree whose package does not import; the
-failing process's last line of standard error is printed.
+quartiles, the B/A ratio of each round, and the rounds B won. Exit codes: 0
+on success, 2 on bad arguments (d < K among them), 3 on a tree without
+``src/shiftmart`` or a timing process that fails, such as a tree whose
+package does not import; the failing process's last line of standard error
+is printed.
 """
 
 from __future__ import annotations

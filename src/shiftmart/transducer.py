@@ -127,10 +127,10 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # Cells (classes times steps) of the label leg's certified stage built at
 # once: each of its float arrays is 16 KiB. On 2000-step streams with
 # d = 256 and 10 classes (2-CPU x86-64, numpy 2.4) chunks of 2048, 4096 and
-# 8192 cells took the stage 1.6, 1.3 and 1.1 ms (median of 15), and raised
-# the benchmark's peak resident memory of one such experiment by 0.10,
-# 0.27 and 0.60 MiB (two runs each); a stream of 1000 steps and 2 classes
-# fits one chunk of any of them.
+# 8192 cells took the stage about 1.8, 1.5 and 1.4 ms (median of 15, two
+# sweeps), and moved the peak resident memory of one such benchmark
+# experiment by -0.06, +0.01 and +0.31 MiB against exact sums at every step
+# (two runs each); a stream of 1000 steps and 2 classes fits one chunk.
 _RANK_CHUNK_CELLS = 2048
 
 
@@ -228,6 +228,8 @@ def _certified_ranks(rows: np.ndarray, scores: np.ndarray, classes: np.ndarray):
     delta[order], infinite[order] = change
     added = np.empty(m, dtype=bool)
     added[order] = first
+    # the per-entry temporaries go before the chunks are built, which keeps
+    # the stage's peak memory down
     del order, by_row, first, change
     # ends[k]: the entries of steps 0..k
     ends = np.flatnonzero(added) + 1
